@@ -5,8 +5,9 @@
  *
  * Baseline mapping as in fig5_cpu_gemm_chains: Relay proxy (scalar
  * kernels, unfused), PyTorch proxy (best kernel, unfused), Chimera
- * (fused planned). Outputs are validated against the naive oracle
- * before timing. On this single-core substrate the conv chains are
+ * (fused planned). `--threads N` (or CHIMERA_THREADS) sets the worker
+ * count of all three columns. Outputs are validated against the naive
+ * oracle before timing. On this single-core substrate the conv chains are
  * compute-bound, so per the paper's own criterion ("fusion pays only
  * when the second convolution is memory-bound") the Chimera-vs-tuned
  * gap is small; the DRAM-traffic picture is in bench/fig8_memory.
@@ -21,7 +22,8 @@ namespace chimera::bench {
 namespace {
 
 void
-runFamily(ir::Epilogue epilogue, const char *title)
+runFamily(ir::Epilogue epilogue, const char *title,
+          const exec::ExecOptions &options)
 {
     const exec::ComputeEngine best = exec::ComputeEngine::best();
     const exec::ComputeEngine scalar = exec::ComputeEngine::scalar();
@@ -41,7 +43,7 @@ runFamily(ir::Epilogue epilogue, const char *title)
         exec::referenceConvChain(cfg, data.input, data.w1, data.w2,
                                  expected);
         exec::runFusedConvChain(cfg, plan, best, data.input, data.w1,
-                                data.w2, data.output);
+                                data.w2, data.output, options);
         if (!allClose(data.output, expected, 5e-3f, 5e-3f)) {
             std::printf("VALIDATION FAILED for %s\n", cfg.name.c_str());
             return;
@@ -52,20 +54,23 @@ runFamily(ir::Epilogue epilogue, const char *title)
             [&] {
                 exec::runUnfusedConvChain(cfg, scalar, data.input, data.w1,
                                           data.w2, data.scratchT,
-                                          data.output, tiles, tiles);
+                                          data.output, tiles, tiles,
+                                          options);
             },
             kRepeats);
         const double tPytorch = bestOfSeconds(
             [&] {
                 exec::runUnfusedConvChain(cfg, best, data.input, data.w1,
                                           data.w2, data.scratchT,
-                                          data.output, tiles, tiles);
+                                          data.output, tiles, tiles,
+                                          options);
             },
             kRepeats);
         const double tChimera = bestOfSeconds(
             [&] {
                 exec::runFusedConvChain(cfg, plan, best, data.input,
-                                        data.w1, data.w2, data.output);
+                                        data.w1, data.w2, data.output,
+                                        options);
             },
             kRepeats);
 
@@ -88,13 +93,17 @@ runFamily(ir::Epilogue epilogue, const char *title)
 } // namespace chimera::bench
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace chimera;
+    const exec::ExecOptions options{bench::threadsFromArgs(argc, argv)};
     bench::printHeader(
         "Figure 5c/5d — CPU convolution chain fusion (measured)",
-        "Single-core AVX-512 fp32 implicit-GEMM convolutions.");
-    bench::runFamily(ir::Epilogue::None, "Figure 5c: conv + conv");
-    bench::runFamily(ir::Epilogue::Relu, "Figure 5d: conv + ReLU + conv");
+        "AVX-512 fp32 implicit-GEMM convolutions (--threads N or"
+        " CHIMERA_THREADS selects the worker count of every column).");
+    std::printf("threads: %d\n\n", resolveThreadCount(options.threads));
+    bench::runFamily(ir::Epilogue::None, "Figure 5c: conv + conv", options);
+    bench::runFamily(ir::Epilogue::Relu, "Figure 5d: conv + ReLU + conv",
+                     options);
     return 0;
 }

@@ -73,7 +73,7 @@ runFamily(ir::Epilogue epilogue, const char *title, const RunOptions &run)
         Tensor expected(exec::gemmChainShapeE(cfg));
         exec::referenceGemmChain(cfg, data.a, data.b, data.d, expected);
         exec::runFusedGemmChain(cfg, planPar, best, data.a, data.b,
-                                data.d, data.e);
+                                data.d, data.e, exec::ExecOptions{1});
         if (!allClose(data.e, expected, 5e-3f, 5e-3f)) {
             std::printf("VALIDATION FAILED for %s\n", cfg.name.c_str());
             return;
@@ -95,12 +95,14 @@ runFamily(ir::Epilogue epilogue, const char *title, const RunOptions &run)
         const exec::GemmTiles tuned2 =
             solvedGemmTiles(cfg.batch, cfg.m, cfg.n, cfg.l);
 
-        const double tRelay =
-            timeUnfusedGemmChain(cfg, scalar, data, fixed, fixed);
-        const double tPytorch =
-            timeUnfusedGemmChain(cfg, best, data, fixed, fixed);
-        const double tAnsor =
-            timeUnfusedGemmChain(cfg, best, data, tuned1, tuned2);
+        // Every baseline runs at the same thread count as the parallel
+        // Chimera column, so the speedups compare like with like.
+        const double tRelay = timeUnfusedGemmChain(
+            cfg, scalar, data, fixed, fixed, kRepeats, parOptions);
+        const double tPytorch = timeUnfusedGemmChain(
+            cfg, best, data, fixed, fixed, kRepeats, parOptions);
+        const double tAnsor = timeUnfusedGemmChain(
+            cfg, best, data, tuned1, tuned2, kRepeats, parOptions);
         double tChimera = 0.0;
         double tChimeraPar = 0.0;
         if (run.sim) {

@@ -131,6 +131,8 @@ probe_status 2 "$CHECK" gemm 1 64 64 64 64 \
     --plan tests/fixtures/does_not_exist.plan
 probe_status 2 "$CHECK" gemm 1 64 64 64 64 --static --domain bogus=4096
 probe_status 2 "$CHECK"
+# A capacity no schedule fits is an input error, not a rule violation.
+probe_status 2 "$CHECK" gemm 1 512 512 512 512 --capacity 64
 
 echo "== chimera-plan tracing obeys the same exit-code contract =="
 PLAN=build/tools/chimera-plan
@@ -150,5 +152,7 @@ rm -f "$trace_tmp"
 # An unwritable trace path is a usage error: exit 2, never a crash.
 probe_status 2 "$PLAN" gemm 1 64 64 64 64 --no-cache \
     --trace-out /nonexistent-dir/trace.json
+# So is a capacity no schedule fits.
+probe_status 2 "$PLAN" gemm 1 512 512 512 512 --capacity 64 --no-cache
 
 echo "safety sweep: OK"

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cstring>
 
-#include "exec/chunk_profile.hpp"
 #include "exec/region_schedule.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
-#include "support/mathutil.hpp"
-#include "support/timer.hpp"
 #include "tensor/reference.hpp"
 
 namespace chimera::exec {
@@ -64,53 +61,6 @@ checkShape(const Tensor &t, const std::vector<std::int64_t> &expected,
                       t.shapeString());
 }
 
-std::int64_t
-tileByName(const ir::Chain &chain, const plan::ExecutionPlan &plan,
-           const std::string &name, std::int64_t fallback)
-{
-    for (int a = 0; a < chain.numAxes(); ++a) {
-        if (chain.axes()[static_cast<std::size_t>(a)].name == name) {
-            return plan.tiles[static_cast<std::size_t>(a)];
-        }
-    }
-    return fallback;
-}
-
-/**
- * Region loops of the fused conv-chain walk in plan order: 'b', 'c'
- * (the oc1 block loop), 'h' (oh) and 'w' (ow), each tagged with its
- * AxisId for the concurrency-table split. A unit batch loop (axis -1)
- * is synthesized when batch == 1.
- */
-std::vector<RegionLoop>
-convRegionLoops(const ir::Chain &chain, const ir::ConvChainConfig &config,
-                const plan::ExecutionPlan &plan)
-{
-    const std::int64_t tb = tileByName(chain, plan, "b", 1);
-    const std::int64_t toh = tileByName(chain, plan, "oh", config.oh2());
-    const std::int64_t tow = tileByName(chain, plan, "ow", config.ow2());
-    const std::int64_t toc1 = tileByName(chain, plan, "oc1", config.oc1);
-    std::vector<RegionLoop> loops;
-    for (ir::AxisId axis : plan.perm) {
-        const std::string &name =
-            chain.axes()[static_cast<std::size_t>(axis)].name;
-        if (name == "b") {
-            loops.push_back(RegionLoop{'b', config.batch, tb, axis});
-        } else if (name == "oc1") {
-            loops.push_back(RegionLoop{'c', config.oc1, toc1, axis});
-        } else if (name == "oh") {
-            loops.push_back(RegionLoop{'h', config.oh2(), toh, axis});
-        } else if (name == "ow") {
-            loops.push_back(RegionLoop{'w', config.ow2(), tow, axis});
-        }
-    }
-    if (config.batch == 1) {
-        loops.insert(loops.begin(), RegionLoop{'b', 1, 1, -1});
-    }
-    CHIMERA_ASSERT(loops.size() == 4, "missing conv region loop");
-    return loops;
-}
-
 } // namespace
 
 std::vector<std::int64_t>
@@ -155,15 +105,27 @@ runFusedConvChain(const ConvChainConfig &config,
     checkShape(w2, convChainShapeW2(config), "W2");
     checkShape(output, convChainShapeO(config), "O");
 
+    // The walker splits the b/oc1/oh/ow region loops by the plan's
+    // concurrency table (kernel axes are not reorderable and never
+    // reach the region walk). Under a sound table the b/oh/ow blocks
+    // are dependence-free (disjoint output windows) and run in
+    // parallel, while the oc1 block loop — the reduction dimension of
+    // conv2, every one of whose blocks accumulates into the same output
+    // elements — runs serially ascending inside each region, which
+    // keeps the per-element accumulation order (and the output bits)
+    // identical to the serial executor at every thread count.
     const ir::Chain chain = ir::makeConvChain(config);
-    CHIMERA_CHECK(static_cast<int>(plan.tiles.size()) == chain.numAxes(),
-                  "plan does not match the chain configuration");
-    const std::int64_t tb = tileByName(chain, plan, "b", 1);
-    const std::int64_t toc2 = tileByName(chain, plan, "oc2", config.oc2);
-    const std::int64_t toh = tileByName(chain, plan, "oh", config.oh2());
-    const std::int64_t tow = tileByName(chain, plan, "ow", config.ow2());
-    const std::int64_t toc1 = tileByName(chain, plan, "oc1", config.oc1);
-    const std::int64_t tic = tileByName(chain, plan, "ic", config.ic);
+    const RegionWalker walker(chain, plan, options);
+    const ir::AxisId bAx =
+        config.batch > 1 ? ir::axisIdByName(chain, "b") : -1;
+    const ir::AxisId ohAx = ir::axisIdByName(chain, "oh");
+    const ir::AxisId owAx = ir::axisIdByName(chain, "ow");
+    const ir::AxisId oc1Ax = ir::axisIdByName(chain, "oc1");
+    const std::int64_t toc2 = walker.tile(ir::axisIdByName(chain, "oc2"));
+    const std::int64_t tic = walker.tile(ir::axisIdByName(chain, "ic"));
+    const std::int64_t toh = walker.tile(ohAx);
+    const std::int64_t tow = walker.tile(owAx);
+    const std::int64_t toc1 = walker.tile(oc1Ax);
 
     const std::int64_t oh1 = config.oh1();
     const std::int64_t ow1 = config.ow1();
@@ -176,49 +138,6 @@ runFusedConvChain(const ConvChainConfig &config,
     const int pad1 = config.effectivePad1();
     const int pad2 = config.effectivePad2();
 
-    // Split the region loops into the parallel task space and the serial
-    // nest by the plan's concurrency table (dependence-analysis output;
-    // kernel axes stay internal and never reach the region walk). Under
-    // a sound table the b/oh/ow blocks are dependence-free (disjoint
-    // output windows) and run in parallel, while the oc1 block loop —
-    // the reduction dimension of conv2, every one of whose blocks
-    // accumulates into the same output elements — runs serially
-    // ascending inside each region, which keeps the per-element
-    // accumulation order (and the output bits) identical to the serial
-    // executor at every thread count.
-    const RegionSchedule sched =
-        partitionRegionLoops(convRegionLoops(chain, config, plan),
-                             plan::effectiveConcurrency(chain, plan),
-                             plan.parallelGrain);
-
-    ThreadPool *pool = execPool(options);
-    const int workers = execWorkerCount(pool);
-    ChunkProfile *profile = options.profile;
-
-    analysis::RaceChecker *race = options.raceCheck;
-    if (race != nullptr) {
-        CHIMERA_CHECK(race->numElements() == output.numel(),
-                      "race checker must be sized to the conv output");
-        race->beginPhase(chain.name() + " fused blocks");
-    }
-
-    // Per-worker on-chip intermediate region (maximal size over
-    // regions) and im2col patch buffers for conv1 and conv2.
-    const std::int64_t midHMax = st2 * (toh - 1) + k2;
-    const std::int64_t midWMax = st2 * (tow - 1) + k2;
-    std::vector<AlignedBuffer<float>> tRegions, patch1s, patch2s;
-    tRegions.reserve(static_cast<std::size_t>(workers));
-    patch1s.reserve(static_cast<std::size_t>(workers));
-    patch2s.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-        tRegions.push_back(allocateAligned<float>(static_cast<std::size_t>(
-            tb * toc1 * midHMax * midWMax)));
-        patch1s.push_back(allocateAligned<float>(static_cast<std::size_t>(
-            tic * k1 * k1 * midWMax)));
-        patch2s.push_back(allocateAligned<float>(static_cast<std::size_t>(
-            toc1 * k2 * k2 * tow)));
-    }
-
     output.zero();
 
     const std::int64_t w1Ld = config.ic * k1 * k1;
@@ -228,61 +147,28 @@ runFusedConvChain(const ConvChainConfig &config,
     const std::int64_t outChanStride = oh2 * ow2;
     const std::int64_t outBatchStride = config.oc2 * outChanStride;
 
-    // Parallel region blocks from the blessed loops; every unblessed
-    // region loop (normally just oc1) runs serially ascending inside.
-    // Dispatch is chunked by the plan's grain (grain-invariant outputs).
-    const std::int64_t chunks = sched.chunkCount();
-    if (profile != nullptr) {
-        profile->beginPhase(chunks);
-    }
-    // Unified clock: ChunkProfile and the trace share obs::nowNanos.
-    obs::TraceRecorder *const tracer = obs::trace();
-    obs::Span execSpan(tracer, "exec.conv_chain", "exec");
-    execSpan.arg("chunks", chunks).arg("workers", workers);
-    parallelFor(pool, 0, chunks, [&](std::int64_t chunk, int worker) {
-        const std::int64_t chunkStart = obs::nowNanos();
-        std::int64_t taskLo = -1;
-        std::int64_t taskHi = -1;
-        float *tRegion = tRegions[static_cast<std::size_t>(worker)].get();
-        float *patch1 = patch1s[static_cast<std::size_t>(worker)].get();
-        float *patch2 = patch2s[static_cast<std::size_t>(worker)].get();
-        sched.forEachTaskInChunk(chunk, [&](std::int64_t task) {
-        if (taskLo < 0) {
-            taskLo = task;
-        }
-        taskHi = task;
-        const std::vector<BlockRange> parBlocks =
-            decodeBlocks(sched.parallel, task);
-
-        const std::int64_t steps = sched.serialSteps();
-        for (std::int64_t s = 0; s < steps; ++s) {
-        const std::vector<BlockRange> serBlocks =
-            decodeBlocks(sched.serial, s);
-        const BlockRange bBlk =
-            findBlock(parBlocks, serBlocks, 'b', config.batch);
-        const BlockRange hBlk = findBlock(parBlocks, serBlocks, 'h', oh2);
-        const BlockRange wBlk = findBlock(parBlocks, serBlocks, 'w', ow2);
-        const BlockRange cBlk =
-            findBlock(parBlocks, serBlocks, 'c', config.oc1);
+    // Scratch: the on-chip intermediate region (maximal size over
+    // regions) and the im2col patch buffers for conv1 and conv2.
+    const std::int64_t midHMax = st2 * (toh - 1) + k2;
+    const std::int64_t midWMax = st2 * (tow - 1) + k2;
+    walker.run(
+        "exec.conv_chain",
+        {static_cast<std::size_t>(walker.tile(bAx) * toc1 * midHMax *
+                                  midWMax),
+         static_cast<std::size_t>(tic * k1 * k1 * midWMax),
+         static_cast<std::size_t>(toc1 * k2 * k2 * tow)},
+        [&](const Region &region) {
+        float *tRegion = region.scratch(0);
+        float *patch1 = region.scratch(1);
+        float *patch2 = region.scratch(2);
+        const BlockRange bBlk = region.block(bAx);
+        const BlockRange hBlk = region.block(ohAx);
+        const BlockRange wBlk = region.block(owAx);
+        const BlockRange cBlk = region.block(oc1Ax);
         const std::int64_t b0 = bBlk.start, bb = bBlk.size;
         const std::int64_t h0 = hBlk.start, hh = hBlk.size;
         const std::int64_t w0 = wBlk.start, ww = wBlk.size;
         const std::int64_t c0 = cBlk.start, cc = cBlk.size;
-
-        // Shadow-memory claim: this task owns the output window
-        // (all oc2 channels of rows h0..h0+hh, cols w0..w0+ww).
-        if (race != nullptr) {
-            for (std::int64_t bi = 0; bi < bb; ++bi) {
-                for (std::int64_t oc = 0; oc < config.oc2; ++oc) {
-                    for (std::int64_t rr = 0; rr < hh; ++rr) {
-                        const std::int64_t at =
-                            (b0 + bi) * outBatchStride +
-                            oc * outChanStride + (h0 + rr) * ow2 + w0;
-                        race->claimRange(task, at, at + ww);
-                    }
-                }
-            }
-        }
 
         // Halo-inflated intermediate slice covered by this region.
         const std::int64_t midH = st2 * (hh - 1) + k2;
@@ -356,41 +242,7 @@ runFusedConvChain(const ConvChainConfig &config,
                 }
             }
         }
-        }
-        });
-        const std::int64_t chunkNanos = obs::nowNanos() - chunkStart;
-        if (profile != nullptr) {
-            profile->recordChunk(
-                chunk, static_cast<double>(chunkNanos) * 1e-9);
-        }
-        if (tracer != nullptr) {
-            tracer->complete("exec.chunk", "exec", chunkStart, chunkNanos,
-                             {{"chunk", chunk},
-                              {"worker", static_cast<std::int64_t>(worker)},
-                              {"task_lo", taskLo},
-                              {"task_hi", taskHi}});
-        }
     });
-}
-
-std::vector<std::string>
-fusedConvChainParallelAxes(const ConvChainConfig &config,
-                           const plan::ExecutionPlan &plan)
-{
-    const ir::Chain chain = ir::makeConvChain(config);
-    CHIMERA_CHECK(static_cast<int>(plan.tiles.size()) == chain.numAxes(),
-                  "plan does not match the chain configuration");
-    const RegionSchedule sched =
-        partitionRegionLoops(convRegionLoops(chain, config, plan),
-                             plan::effectiveConcurrency(chain, plan));
-    std::vector<std::string> names;
-    for (const RegionLoop &loop : sched.parallel) {
-        if (loop.axis >= 0) {
-            names.push_back(
-                chain.axes()[static_cast<std::size_t>(loop.axis)].name);
-        }
-    }
-    return names;
 }
 
 void
@@ -434,15 +286,10 @@ runTiledConv2d(const ComputeEngine &engine, const Tensor &input,
             std::min(tiles.tic, ic) * kernel * kernel * ow)));
     }
 
-    ChunkProfile *profile = options.profile;
-    if (profile != nullptr) {
-        profile->beginPhase(batch * oh);
-    }
-    obs::TraceRecorder *const tracer = obs::trace();
-    obs::Span execSpan(tracer, "exec.tiled_conv", "exec");
+    obs::Span execSpan(obs::trace(), "exec.tiled_conv", "exec");
     execSpan.arg("tasks", batch * oh);
-    parallelFor(pool, 0, batch * oh, [&](std::int64_t task, int worker) {
-        const std::int64_t taskStart = obs::nowNanos();
+    dispatchChunks(pool, options.profile, batch * oh, true,
+                   [&](std::int64_t task, int worker) {
         const std::int64_t bi = task / oh;
         const std::int64_t r = task % oh;
         const float *inBase = input.data() + bi * ic * h * w;
@@ -470,17 +317,7 @@ runTiledConv2d(const ComputeEngine &engine, const Tensor &input,
                     icc * kernel * kernel);
             }
         }
-        const std::int64_t taskNanos = obs::nowNanos() - taskStart;
-        if (profile != nullptr) {
-            profile->recordChunk(
-                task, static_cast<double>(taskNanos) * 1e-9);
-        }
-        if (tracer != nullptr) {
-            tracer->complete("exec.chunk", "exec", taskStart, taskNanos,
-                             {{"chunk", task},
-                              {"worker",
-                               static_cast<std::int64_t>(worker)}});
-        }
+        return ChunkTasks{};
     });
 }
 

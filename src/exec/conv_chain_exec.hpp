@@ -51,16 +51,6 @@ void runFusedConvChain(const ir::ConvChainConfig &config,
                        const Tensor &w1, const Tensor &w2, Tensor &output,
                        const ExecOptions &options = {});
 
-/**
- * Names of the chain axes runFusedConvChain would distribute across
- * workers for @p plan — the region loops the concurrency table blesses
- * as parallel (the synthesized unit batch loop is excluded). Lets tests
- * cross-check executor behavior against the analysis.
- */
-std::vector<std::string>
-fusedConvChainParallelAxes(const ir::ConvChainConfig &config,
-                           const plan::ExecutionPlan &plan);
-
 /** Channel tiles for the unfused per-conv executor. */
 struct ConvTiles
 {

@@ -2,9 +2,12 @@
 
 /**
  * @file
- * Runtime knobs shared by the fused/unfused executors. Today that is
- * the worker-thread policy for the independent block loops; the plan
- * itself (order + tiles) stays a planner concern.
+ * Runtime knobs every executor entry point accepts: the worker-thread
+ * policy (or an explicit pool), an optional race checker and an
+ * optional chunk profile. The fused executors hand them to the region
+ * walker (exec/region_schedule.hpp), the unfused ones to
+ * dispatchChunks. The plan itself (order, tiles, grain) stays a planner
+ * concern.
  */
 
 #include "analysis/race_checker.hpp"

@@ -60,15 +60,6 @@ void runFusedGemmChain3(const ir::GemmChain3Config &config,
                         const Tensor &b, const Tensor &d, const Tensor &f,
                         Tensor &e, const ExecOptions &options = {});
 
-/**
- * Names of the chain axes runFusedGemmChain3 would distribute across
- * workers for @p plan (synthesized unit batch loop excluded). Lets
- * tests cross-check executor behavior against the analysis.
- */
-std::vector<std::string>
-fusedGemmChain3ParallelAxes(const ir::GemmChain3Config &config,
-                            const plan::ExecutionPlan &plan);
-
 /** Unfused baseline: three tiled batch GEMMs with DRAM intermediates. */
 void runUnfusedGemmChain3(const ir::GemmChain3Config &config,
                           const ComputeEngine &engine, const Tensor &a,

@@ -52,16 +52,6 @@ void runFusedGemmChain(const ir::GemmChainConfig &config,
                        const Tensor &b, const Tensor &d, Tensor &e,
                        const ExecOptions &options = {});
 
-/**
- * Names of the chain axes runFusedGemmChain would distribute across
- * workers for @p plan — exactly the region loops the concurrency table
- * blesses as parallel (the synthesized unit batch loop is excluded).
- * Lets tests cross-check executor behavior against the analysis.
- */
-std::vector<std::string>
-fusedGemmChainParallelAxes(const ir::GemmChainConfig &config,
-                           const plan::ExecutionPlan &plan);
-
 /** Per-GEMM cache tiles for the unfused baseline. */
 struct GemmTiles
 {

@@ -2,168 +2,350 @@
 
 #include <algorithm>
 
+#include "analysis/race_checker.hpp"
+#include "exec/chunk_profile.hpp"
+#include "obs/trace.hpp"
+#include "support/aligned.hpp"
+#include "support/error.hpp"
 #include "support/mathutil.hpp"
 
 namespace chimera::exec {
 
 namespace {
 
+/** Floats per aligned scratch segment boundary. */
+constexpr std::int64_t kSegmentFloats =
+    static_cast<std::int64_t>(kBufferAlignment / sizeof(float));
+
 std::int64_t
-blockCount(const std::vector<RegionLoop> &loops)
+blockCount(const RegionLoop &loop)
 {
-    std::int64_t total = 1;
-    for (const RegionLoop &loop : loops) {
-        total *= ceilDiv(loop.extent, loop.tile);
-    }
-    return total;
+    return ceilDiv(loop.extent, loop.tile);
 }
+
+BlockRange
+blockAt(const RegionLoop &loop, std::int64_t index)
+{
+    const std::int64_t start = index * loop.tile;
+    return BlockRange{start,
+                      std::min<std::int64_t>(loop.tile, loop.extent - start)};
+}
+
+/**
+ * Advances the odometer @p idx over [lo, hi) per digit, last digit
+ * fastest; returns false once it wraps (an empty odometer never
+ * advances).
+ */
+bool
+nextIndex(std::vector<std::int64_t> &idx, const std::vector<std::int64_t> &lo,
+          const std::vector<std::int64_t> &hi)
+{
+    for (std::size_t d = idx.size(); d-- > 0;) {
+        if (++idx[d] < hi[d]) {
+            return true;
+        }
+        idx[d] = lo[d];
+    }
+    return false;
+}
+
+/** The chain's output tensor: what the last operator produces. */
+const ir::TensorDecl &
+outputTensor(const ir::Chain &chain)
+{
+    return chain.tensors()[static_cast<std::size_t>(
+        chain.ops().back().outputTensorId)];
+}
+
+/**
+ * Race-checker claims of each region's output window: the row-major
+ * window the output tensor's access map gives over the region's blocks.
+ * Trailing dimensions the window covers in full coalesce into one
+ * range. Sized once per worker; claim() allocates nothing.
+ */
+class OutputClaims
+{
+  public:
+    explicit OutputClaims(const ir::Chain &chain)
+        : dims_(outputTensor(chain).dims), rank_(dims_.size()),
+          full_(rank_), stride_(rank_, 1), lo_(rank_), size_(rank_),
+          index_(rank_), hi_(rank_)
+    {
+        const std::vector<std::int64_t> extents = chain.fullExtents();
+        for (std::size_t d = 0; d < rank_; ++d) {
+            full_[d] = dims_[d].footprint(extents);
+        }
+        for (std::size_t d = rank_; d-- > 1;) {
+            stride_[d - 1] = stride_[d] * full_[d];
+        }
+    }
+
+    /** Element count of the whole output tensor. */
+    std::int64_t elements() const
+    {
+        return rank_ == 0 ? 1 : stride_[0] * full_[0];
+    }
+
+    void claim(analysis::RaceChecker &race, const Region &region)
+    {
+        for (std::size_t d = 0; d < rank_; ++d) {
+            lo_[d] = 0;
+            size_[d] = 1;
+            for (const ir::AccessTerm &term : dims_[d].terms) {
+                const BlockRange block = region.block(term.axis);
+                lo_[d] += term.coeff * block.start;
+                size_[d] += term.coeff * (block.size - 1);
+            }
+        }
+        // Innermost dimension the window does not cover in full; the
+        // outer dimensions are walked, everything from it inward is one
+        // contiguous run.
+        std::size_t inner = rank_;
+        while (inner > 0 && size_[inner - 1] == full_[inner - 1]) {
+            --inner;
+        }
+        if (inner == 0) {
+            race.claimRange(region.task(), 0, elements());
+            return;
+        }
+        --inner;
+        const std::int64_t run = size_[inner] * stride_[inner];
+        for (std::size_t d = 0; d < rank_; ++d) {
+            index_[d] = lo_[d];
+            hi_[d] = d < inner ? lo_[d] + size_[d] : lo_[d] + 1;
+        }
+        do {
+            std::int64_t at = 0;
+            for (std::size_t d = 0; d <= inner; ++d) {
+                at += index_[d] * stride_[d];
+            }
+            race.claimRange(region.task(), at, at + run);
+        } while (nextIndex(index_, lo_, hi_));
+    }
+
+  private:
+    std::vector<ir::AccessDim> dims_;
+    std::size_t rank_;
+    std::vector<std::int64_t> full_, stride_, lo_, size_, index_, hi_;
+};
 
 } // namespace
 
-std::int64_t
-RegionSchedule::parallelTasks() const
+std::vector<RegionLoop>
+regionLoops(const ir::Chain &chain, const plan::ExecutionPlan &plan)
 {
-    return blockCount(parallel);
-}
-
-std::int64_t
-RegionSchedule::serialSteps() const
-{
-    return blockCount(serial);
-}
-
-std::int64_t
-RegionSchedule::chunkCount() const
-{
-    if (grain.empty()) {
-        return parallelTasks();
+    std::vector<RegionLoop> loops;
+    for (ir::AxisId axis : plan.perm) {
+        const ir::Axis &decl = chain.axes()[static_cast<std::size_t>(axis)];
+        const bool everyOp = std::all_of(
+            chain.ops().begin(), chain.ops().end(),
+            [&](const ir::OpDecl &op) { return op.usesLoop(axis); });
+        if (decl.reorderable && everyOp) {
+            loops.push_back(RegionLoop{
+                axis, decl.extent,
+                plan.tiles[static_cast<std::size_t>(axis)]});
+        }
     }
+    return loops;
+}
+
+void
+dispatchChunks(
+    ThreadPool *pool, ChunkProfile *profile, std::int64_t chunks,
+    bool chunkSpans,
+    const std::function<ChunkTasks(std::int64_t chunk, int worker)> &body)
+{
+    if (profile != nullptr) {
+        profile->beginPhase(chunks);
+    }
+    // One clock (obs::nowNanos) feeds both the ChunkProfile critical
+    // path and the trace spans, so their timelines agree exactly.
+    obs::TraceRecorder *const tracer = chunkSpans ? obs::trace() : nullptr;
+    parallelFor(pool, 0, chunks, [&](std::int64_t chunk, int worker) {
+        const std::int64_t start = obs::nowNanos();
+        const ChunkTasks tasks = body(chunk, worker);
+        const std::int64_t nanos = obs::nowNanos() - start;
+        if (profile != nullptr) {
+            profile->recordChunk(chunk, static_cast<double>(nanos) * 1e-9);
+        }
+        if (tracer != nullptr) {
+            std::vector<obs::TraceArg> args = {
+                {"chunk", chunk},
+                {"worker", static_cast<std::int64_t>(worker)}};
+            if (tasks.lo >= 0) {
+                args.emplace_back("task_lo", tasks.lo);
+                args.emplace_back("task_hi", tasks.hi);
+            }
+            tracer->complete("exec.chunk", "exec", start, nanos,
+                             std::move(args));
+        }
+    });
+}
+
+RegionWalker::RegionWalker(const ir::Chain &chain,
+                           const plan::ExecutionPlan &plan,
+                           const ExecOptions &options)
+    : chain_(chain), plan_(plan), options_(options), pool_(execPool(options))
+{
+    // A region loop missing from perm would run at full extent and
+    // overflow the scratch the executor sized from its tile.
+    std::vector<bool> seen(static_cast<std::size_t>(chain.numAxes()), false);
+    for (ir::AxisId axis : plan.perm) {
+        CHIMERA_CHECK(axis >= 0 && axis < chain.numAxes() &&
+                          !seen[static_cast<std::size_t>(axis)],
+                      "plan order is not a permutation of the chain axes");
+        seen[static_cast<std::size_t>(axis)] = true;
+    }
+    CHIMERA_CHECK(static_cast<int>(plan.tiles.size()) == chain.numAxes() &&
+                      static_cast<int>(plan.perm.size()) == chain.numAxes(),
+                  "plan does not match the chain configuration");
+    CHIMERA_CHECK(std::all_of(plan.tiles.begin(), plan.tiles.end(),
+                              [](std::int64_t t) { return t >= 1; }),
+                  "plan tiles must be positive");
+    const std::vector<analysis::AxisConcurrency> table =
+        plan::effectiveConcurrency(chain, plan);
+    for (const RegionLoop &loop : regionLoops(chain, plan)) {
+        const auto axis = static_cast<std::size_t>(loop.axis);
+        if (axis < table.size() &&
+            table[axis] == analysis::AxisConcurrency::Parallel) {
+            parallel_.push_back(loop);
+            grain_.push_back(axis < plan.parallelGrain.size()
+                                 ? std::max<std::int64_t>(
+                                       1, plan.parallelGrain[axis])
+                                 : 1);
+        } else {
+            serial_.push_back(loop);
+        }
+    }
+}
+
+std::int64_t
+RegionWalker::chunkCount() const
+{
     std::int64_t total = 1;
-    for (std::size_t i = 0; i < parallel.size(); ++i) {
-        const std::int64_t blocks =
-            ceilDiv(parallel[i].extent, parallel[i].tile);
-        total *= ceilDiv(blocks, std::max<std::int64_t>(1, grain[i]));
+    for (std::size_t i = 0; i < parallel_.size(); ++i) {
+        total *= ceilDiv(blockCount(parallel_[i]), grain_[i]);
     }
     return total;
 }
 
 void
-RegionSchedule::forEachTaskInChunk(
-    std::int64_t chunk, const std::function<void(std::int64_t)> &fn) const
+RegionWalker::run(const char *spanName,
+                  const std::vector<std::size_t> &scratchFloats,
+                  const std::function<void(const Region &)> &body) const
 {
-    if (grain.empty()) {
-        fn(chunk);
-        return;
+    const int workers = execWorkerCount(pool_);
+    analysis::RaceChecker *race = options_.raceCheck;
+    std::vector<OutputClaims> claims; // one per worker when checking
+    if (race != nullptr) {
+        claims.assign(static_cast<std::size_t>(workers),
+                      OutputClaims(chain_));
+        CHIMERA_CHECK(race->numElements() == claims.front().elements(),
+                      "race checker must be sized to the " +
+                          outputTensor(chain_).name + " output");
+        race->beginPhase(chain_.name() + " fused blocks");
     }
-    // Decode the chunk over the per-loop chunk grid (first loop
-    // outermost, like decodeBlocks), yielding each loop's block
-    // sub-range, then walk the Cartesian product of those sub-ranges
-    // ascending and re-encode each point as a flat task index.
-    const std::size_t n = parallel.size();
-    std::vector<std::int64_t> blocks(n), lo(n), hi(n), idx(n), stride(n);
-    for (std::size_t i = n; i-- > 0;) {
-        blocks[i] = ceilDiv(parallel[i].extent, parallel[i].tile);
-        const std::int64_t g = std::max<std::int64_t>(
-            1, grain[i]);
-        const std::int64_t chunks = ceilDiv(blocks[i], g);
-        const std::int64_t c = chunk % chunks;
-        chunk /= chunks;
-        lo[i] = c * g;
-        hi[i] = std::min(blocks[i], lo[i] + g);
-        idx[i] = lo[i];
+
+    // Per-worker state, allocated once: the scratch buffer, the region
+    // handed to the body (every axis at full extent until a loop sets
+    // it) and the odometers.
+    struct WorkerState
+    {
+        AlignedBuffer<float> buffer;
+        Region region;
+        std::vector<std::int64_t> lo, hi, task, serial;
+    };
+    std::vector<std::size_t> offsets;
+    std::size_t total = 0;
+    for (std::size_t floats : scratchFloats) {
+        offsets.push_back(total);
+        total += static_cast<std::size_t>(
+            roundUp(static_cast<std::int64_t>(floats), kSegmentFloats));
     }
-    stride.assign(n, 1);
-    for (std::size_t i = n; i-- > 1;) {
-        stride[i - 1] = stride[i] * blocks[i];
+    const std::size_t npar = parallel_.size();
+    const std::size_t nser = serial_.size();
+    std::vector<std::int64_t> serialLo(nser, 0), serialHi(nser);
+    for (std::size_t j = 0; j < nser; ++j) {
+        serialHi[j] = blockCount(serial_[j]);
     }
-    for (;;) {
-        std::int64_t flat = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            flat += idx[i] * stride[i];
+    std::vector<std::int64_t> taskStride(npar, 1);
+    for (std::size_t i = npar; i-- > 1;) {
+        taskStride[i - 1] = taskStride[i] * blockCount(parallel_[i]);
+    }
+    std::vector<WorkerState> states;
+    states.reserve(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w) {
+        WorkerState &state = states.emplace_back(WorkerState{
+            allocateAligned<float>(std::max<std::size_t>(1, total)), Region{},
+            std::vector<std::int64_t>(npar),
+            std::vector<std::int64_t>(npar), std::vector<std::int64_t>(npar),
+            std::vector<std::int64_t>(nser)});
+        for (const ir::Axis &axis : chain_.axes()) {
+            state.region.blocks_.push_back(BlockRange{0, axis.extent});
         }
-        fn(flat);
-        // Odometer over the sub-ranges, innermost loop fastest.
-        std::size_t d = n;
-        while (d-- > 0) {
-            if (++idx[d] < hi[d]) {
-                break;
+        for (std::size_t offset : offsets) {
+            state.region.scratch_.push_back(state.buffer.get() + offset);
+        }
+    }
+
+    const std::int64_t chunks = chunkCount();
+    obs::Span execSpan(obs::trace(), spanName, "exec");
+    execSpan.arg("chunks", chunks).arg("workers", workers);
+    dispatchChunks(pool_, options_.profile, chunks, true,
+                   [&](std::int64_t chunk, int worker) {
+        WorkerState &state = states[static_cast<std::size_t>(worker)];
+        Region &region = state.region;
+        // Decode the chunk over the per-loop chunk grid (first loop
+        // outermost) into each parallel loop's block sub-range.
+        for (std::size_t i = npar; i-- > 0;) {
+            const std::int64_t blocks = blockCount(parallel_[i]);
+            const std::int64_t perChunk = ceilDiv(blocks, grain_[i]);
+            state.lo[i] = (chunk % perChunk) * grain_[i];
+            state.hi[i] = std::min(blocks, state.lo[i] + grain_[i]);
+            chunk /= perChunk;
+        }
+        state.task = state.lo;
+        ChunkTasks covered;
+        do {
+            region.task_ = 0;
+            for (std::size_t i = 0; i < npar; ++i) {
+                region.task_ += state.task[i] * taskStride[i];
+                region.blocks_[static_cast<std::size_t>(
+                    parallel_[i].axis)] =
+                    blockAt(parallel_[i], state.task[i]);
             }
-            idx[d] = lo[d];
-            if (d == 0) {
-                return;
+            if (covered.lo < 0) {
+                covered.lo = region.task_;
             }
-        }
-        if (d == static_cast<std::size_t>(-1)) {
-            return;
-        }
-    }
+            covered.hi = region.task_;
+            std::fill(state.serial.begin(), state.serial.end(), 0);
+            do {
+                for (std::size_t j = 0; j < nser; ++j) {
+                    region.blocks_[static_cast<std::size_t>(
+                        serial_[j].axis)] =
+                        blockAt(serial_[j], state.serial[j]);
+                }
+                if (race != nullptr) {
+                    claims[static_cast<std::size_t>(worker)].claim(*race,
+                                                                   region);
+                }
+                body(region);
+            } while (nextIndex(state.serial, serialLo, serialHi));
+        } while (nextIndex(state.task, state.lo, state.hi));
+        return covered;
+    });
 }
 
-RegionSchedule
-partitionRegionLoops(const std::vector<RegionLoop> &loops,
-                     const std::vector<analysis::AxisConcurrency> &table,
-                     const std::vector<std::int64_t> &grainByAxis)
+std::vector<std::string>
+fusedParallelAxes(const ir::Chain &chain, const plan::ExecutionPlan &plan)
 {
-    RegionSchedule schedule;
-    for (const RegionLoop &loop : loops) {
-        const bool blessed =
-            loop.axis < 0 ||
-            (loop.axis < static_cast<ir::AxisId>(table.size()) &&
-             table[static_cast<std::size_t>(loop.axis)] ==
-                 analysis::AxisConcurrency::Parallel);
-        if (blessed) {
-            schedule.parallel.push_back(loop);
-            const bool haveGrain =
-                loop.axis >= 0 &&
-                loop.axis < static_cast<ir::AxisId>(grainByAxis.size());
-            schedule.grain.push_back(
-                haveGrain ? std::max<std::int64_t>(
-                                1, grainByAxis[static_cast<std::size_t>(
-                                       loop.axis)])
-                          : 1);
-        } else {
-            schedule.serial.push_back(loop);
-        }
+    const RegionWalker walker(chain, plan, ExecOptions{1});
+    std::vector<std::string> names;
+    for (const RegionLoop &loop : walker.parallelLoops()) {
+        names.push_back(
+            chain.axes()[static_cast<std::size_t>(loop.axis)].name);
     }
-    if (std::all_of(schedule.grain.begin(), schedule.grain.end(),
-                    [](std::int64_t g) { return g == 1; })) {
-        schedule.grain.clear(); // all-1 = identity; keep the fast path
-    }
-    return schedule;
-}
-
-std::vector<BlockRange>
-decodeBlocks(const std::vector<RegionLoop> &loops, std::int64_t flat)
-{
-    std::vector<BlockRange> blocks(loops.size());
-    for (std::size_t i = loops.size(); i-- > 0;) {
-        const RegionLoop &loop = loops[i];
-        const std::int64_t n = ceilDiv(loop.extent, loop.tile);
-        const std::int64_t start = (flat % n) * loop.tile;
-        flat /= n;
-        blocks[i] = BlockRange{
-            loop.tag, start,
-            std::min<std::int64_t>(loop.tile, loop.extent - start)};
-    }
-    return blocks;
-}
-
-BlockRange
-findBlock(const std::vector<BlockRange> &parallel,
-          const std::vector<BlockRange> &serial, char tag,
-          std::int64_t fullExtent)
-{
-    for (const BlockRange &block : parallel) {
-        if (block.tag == tag) {
-            return block;
-        }
-    }
-    for (const BlockRange &block : serial) {
-        if (block.tag == tag) {
-            return block;
-        }
-    }
-    return BlockRange{tag, 0, fullExtent};
+    return names;
 }
 
 } // namespace chimera::exec

@@ -2,113 +2,177 @@
 
 /**
  * @file
- * Table-driven region-loop scheduling for the fused executors.
+ * The region walker every fused executor runs on (Algorithm 1's block
+ * walk).
  *
- * Every fused executor walks a handful of blocked "region" loops (the
- * chain axes its on-chip regions are blocked over, in plan order) and
- * distributes some of them across workers. Which ones used to be
- * hardcoded; now the split is decided by the plan's AxisConcurrency
- * table: a region loop joins the parallel task space iff its axis is
- * classified Parallel, every other loop runs serially ascending inside
- * each task. An executor therefore *refuses* to parallelize an axis
- * the dependence analysis (or the plan document) did not bless — and,
- * conversely, honors a plan that mis-declares a reduction axis as
- * parallel, which is exactly what lets the dynamic race checker catch
- * such plans (see analysis/race_checker.hpp).
+ * A fused chain's region loops are read off the chain, not written per
+ * executor: they are the reorderable axes that every operator of the
+ * chain loops over, in plan order, blocked by the plan's tiles. That
+ * gives b/m/l for a GEMM chain, b/m for the three-GEMM chain and
+ * attention, and b/oc1/oh/ow for a conv chain. Everything else (k, n,
+ * p, ic, oc2, kernel axes) is private to some operator and is looped
+ * inside the executor's block body.
+ *
+ * The region loops are split by the plan's AxisConcurrency table: a
+ * loop joins the parallel task space iff its axis is classified
+ * Parallel; every other loop runs serially ascending inside each task.
+ * The walker therefore *refuses* to parallelize an axis the dependence
+ * analysis (or the plan document) did not bless — and, conversely,
+ * honors a plan that mis-declares a reduction axis as parallel, which
+ * is exactly what lets the dynamic race checker catch such plans (see
+ * analysis/race_checker.hpp).
+ *
+ * RegionWalker::run owns the rest of the walk: grain chunking of the
+ * task space, dispatch over the ExecOptions pool, one scratch buffer
+ * per worker, race-checker claims of each region's output window
+ * (derived from the output tensor's access map), ChunkProfile timing
+ * and the `exec.chunk` trace spans. The executor supplies only the
+ * block body.
  */
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
-#include "analysis/dependence.hpp"
-#include "ir/axis.hpp"
+#include "exec/exec_options.hpp"
+#include "ir/chain.hpp"
+#include "plan/planner.hpp"
 
 namespace chimera::exec {
 
-/** One blocked region loop of a fused executor's outer walk. */
+/** One blocked region loop of the walk. */
 struct RegionLoop
 {
-    char tag = '?'; ///< executor-local label ('b', 'm', 'l', ...)
+    ir::AxisId axis = -1;
     std::int64_t extent = 1;
     std::int64_t tile = 1;
-    ir::AxisId axis = -1; ///< -1 = synthesized (e.g. unit batch loop)
 };
 
-/** One decoded block of a region loop. */
+/** One block of an axis: [start, start + size). */
 struct BlockRange
 {
-    char tag = '?';
     std::int64_t start = 0;
     std::int64_t size = 1;
 };
 
-/** Region loops split into a parallel task space and serial loops. */
-struct RegionSchedule
+/**
+ * The region loops of @p chain under @p plan: the reorderable axes every
+ * operator loops over, in plan.perm order, with the plan's tiles.
+ */
+std::vector<RegionLoop> regionLoops(const ir::Chain &chain,
+                                    const plan::ExecutionPlan &plan);
+
+/** One region handed to the block body. */
+class Region
 {
-    /** Loops whose blocks split across workers, in plan order. */
-    std::vector<RegionLoop> parallel;
-
-    /** Loops run serially ascending inside each task, in plan order. */
-    std::vector<RegionLoop> serial;
-
+  public:
     /**
-     * Blocks per dispatch chunk for each parallel loop (aligned with
-     * @ref parallel; empty = all 1). Filled from the plan's
-     * parallelGrain by partitionRegionLoops so one worker task covers
-     * grain consecutive blocks of that loop, processed serially
-     * ascending — chunking never changes what a block computes, only
-     * how many ride in one dispatch.
+     * Block of @p axis in this region: the current block of a region
+     * loop, the full extent of any other axis, and the unit range
+     * [0, 1) for an axis the chain omits (axis < 0, e.g. the batch axis
+     * of an unbatched chain).
      */
-    std::vector<std::int64_t> grain;
+    BlockRange block(ir::AxisId axis) const
+    {
+        return axis < 0 ? BlockRange{}
+                        : blocks_[static_cast<std::size_t>(axis)];
+    }
 
-    /** Flattened parallel task count (1 when nothing is parallel). */
-    std::int64_t parallelTasks() const;
+    /** Segment @p i of this worker's scratch buffer (64-byte aligned). */
+    float *scratch(std::size_t i) const { return scratch_[i]; }
 
-    /** Serial block combinations per task. */
-    std::int64_t serialSteps() const;
+    /** Flat parallel-task index (the race checker's claimant id). */
+    std::int64_t task() const { return task_; }
 
-    /** Dispatch chunks under @ref grain (== parallelTasks() when 1s). */
-    std::int64_t chunkCount() const;
+  private:
+    friend class RegionWalker;
 
-    /**
-     * Calls @p fn once per flat parallel-task index covered by dispatch
-     * chunk @p chunk, ascending. Flat indices are the same mixed-radix
-     * encoding decodeBlocks expects, so per-task work (and race-checker
-     * task ids) is identical at every grain.
-     */
-    void forEachTaskInChunk(
-        std::int64_t chunk,
-        const std::function<void(std::int64_t)> &fn) const;
+    std::vector<BlockRange> blocks_;
+    std::vector<float *> scratch_;
+    std::int64_t task_ = 0;
+};
+
+/** Flat task ids one dispatch chunk covered (lo < 0: not reported). */
+struct ChunkTasks
+{
+    std::int64_t lo = -1;
+    std::int64_t hi = -1;
 };
 
 /**
- * Splits @p loops by the per-axis concurrency @p table (indexed by
- * AxisId): Parallel axes and synthesized loops go to the task space,
- * everything else stays serial. Relative order is preserved.
- * @p grainByAxis is the plan's parallelGrain (indexed by AxisId; empty
- * = all 1): grains of parallel loops are carried into the schedule,
- * synthesized loops (axis < 0) always get grain 1.
+ * One profiled dispatch phase: runs @p body for every chunk in
+ * [0, chunks) on @p pool, charges each chunk's wall time to @p profile
+ * (when non-null) and, when @p chunkSpans, records it as an `exec.chunk`
+ * span with its chunk and worker (plus task_lo/task_hi when the body
+ * reports them).
  */
-RegionSchedule
-partitionRegionLoops(const std::vector<RegionLoop> &loops,
-                     const std::vector<analysis::AxisConcurrency> &table,
-                     const std::vector<std::int64_t> &grainByAxis = {});
+void dispatchChunks(
+    ThreadPool *pool, ChunkProfile *profile, std::int64_t chunks,
+    bool chunkSpans,
+    const std::function<ChunkTasks(std::int64_t chunk, int worker)> &body);
 
 /**
- * Decodes flat index @p flat over @p loops (mixed radix, first loop
- * outermost / slowest) into one block per loop. Iterating flat indices
- * ascending therefore reproduces the nested ascending loop order.
+ * Walks the regions of one (chain, plan) under one ExecOptions. The
+ * chain and the plan must outlive the walker.
  */
-std::vector<BlockRange>
-decodeBlocks(const std::vector<RegionLoop> &loops, std::int64_t flat);
+class RegionWalker
+{
+  public:
+    /** Throws Error when @p plan does not fit @p chain. */
+    RegionWalker(const ir::Chain &chain, const plan::ExecutionPlan &plan,
+                 const ExecOptions &options);
+
+    /** Tile of @p axis (1 for an omitted axis, axis < 0). */
+    std::int64_t tile(ir::AxisId axis) const
+    {
+        return axis < 0 ? 1 : plan_.tiles[static_cast<std::size_t>(axis)];
+    }
+
+    /** Region loops distributed across workers, in plan order. */
+    const std::vector<RegionLoop> &parallelLoops() const
+    {
+        return parallel_;
+    }
+
+    /** Resolved pool (nullptr = serial). */
+    ThreadPool *pool() const { return pool_; }
+
+    /** Dispatch chunks under the plan's grain. */
+    std::int64_t chunkCount() const;
+
+    /**
+     * Runs @p body once per region. Chunks of grain-many consecutive
+     * tasks are dispatched over the pool; inside a chunk tasks run
+     * ascending, and inside a task the serial loops run ascending, so
+     * task ids, per-element accumulation order and output bits are the
+     * same at every thread count and grain. Each worker owns one
+     * scratch buffer carved into @p scratchFloats aligned segments.
+     * With a race checker armed, every region claims its output window
+     * before the body runs. @p spanName names the enclosing trace span
+     * (args: chunks, workers).
+     */
+    void run(const char *spanName,
+             const std::vector<std::size_t> &scratchFloats,
+             const std::function<void(const Region &)> &body) const;
+
+  private:
+    const ir::Chain &chain_;
+    const plan::ExecutionPlan &plan_;
+    ExecOptions options_;
+    ThreadPool *pool_ = nullptr;
+    std::vector<RegionLoop> parallel_;
+    std::vector<RegionLoop> serial_;
+    std::vector<std::int64_t> grain_; ///< aligned with parallel_
+};
 
 /**
- * Finds the block for @p tag in either decoded list; falls back to
- * [0, fullExtent) when the tag is not a region loop of this plan.
+ * Names of the chain axes a fused executor distributes across workers
+ * for @p plan — exactly the region loops the concurrency table blesses
+ * as parallel, in plan order. Lets tests cross-check executor behavior
+ * against the analysis.
  */
-BlockRange findBlock(const std::vector<BlockRange> &parallel,
-                     const std::vector<BlockRange> &serial, char tag,
-                     std::int64_t fullExtent);
+std::vector<std::string> fusedParallelAxes(const ir::Chain &chain,
+                                           const plan::ExecutionPlan &plan);
 
 } // namespace chimera::exec

@@ -9,8 +9,10 @@
  * Chain owns the independent axes, the tensor declarations with their
  * affine access maps, and the operators in topological order. The
  * analytical model (src/model) and the planner (src/plan) work purely on
- * this representation; the executors (src/exec) additionally use the
- * concrete workload configs carried by the builder functions.
+ * this representation, and so does the executors' region walk
+ * (exec/region_schedule.hpp): its loops, dispatch and race claims come
+ * from the chain. Only the per-block arithmetic of each executor reads
+ * the builder's workload config (extents, epilogue, strides).
  */
 
 #include <cstdint>

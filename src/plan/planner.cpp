@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iomanip>
 #include <sstream>
 #include <unordered_set>
 
@@ -182,6 +183,16 @@ effectiveCapacityBytes(const PlannerOptions &options)
 {
     return model::clampedPerWorkerBudgetBytes(
         options.memCapacityBytes, options.topology, options.execThreads);
+}
+
+/** InfeasiblePlanError text: @p what plus the capacity in bytes. */
+std::string
+infeasibleMessage(const std::string &what, const PlannerOptions &options)
+{
+    std::ostringstream oss;
+    oss << what << " under a memory capacity of " << std::fixed
+        << std::setprecision(0) << options.memCapacityBytes << " bytes";
+    return oss.str();
 }
 
 /**
@@ -624,9 +635,10 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
             solveBatch(batch);
         }
     }
-    CHIMERA_CHECK(haveBest,
-                  "no feasible schedule for chain " + chain.name() +
-                      " under the given memory capacity");
+    if (!haveBest) {
+        throw InfeasiblePlanError(infeasibleMessage(
+            "no feasible schedule for chain " + chain.name(), options));
+    }
     best.candidatesExamined = static_cast<int>(stats.solved);
     searchSpan.arg("chain", chain.name())
         .arg("solved", static_cast<int>(stats.solved))
@@ -788,8 +800,12 @@ planFixedOrder(const Chain &chain, const std::vector<AxisId> &perm,
     }
     const solver::TileSolution sol =
         solver::solveTiles(chain, perm, constraints, solverOptions);
-    CHIMERA_CHECK(sol.feasible,
-                  "fixed order infeasible for chain " + chain.name());
+    if (!sol.feasible) {
+        throw InfeasiblePlanError(infeasibleMessage(
+            "fixed order " + orderString(chain, perm) +
+                " infeasible for chain " + chain.name(),
+            options));
+    }
     ExecutionPlan plan;
     plan.perm = perm;
     plan.tiles = sol.tiles;

@@ -23,6 +23,7 @@
 #include "ir/chain.hpp"
 #include "model/multilevel.hpp"
 #include "solver/tile_solver.hpp"
+#include "support/error.hpp"
 
 namespace chimera::plan {
 
@@ -300,8 +301,19 @@ std::vector<ir::AxisId> permFromOrderString(const ir::Chain &chain,
                                             const std::string &order);
 
 /**
+ * Thrown when no schedule of a chain fits the memory capacity: an input
+ * error (the chain or the capacity is wrong), not a library fault. The
+ * message names the chain and the capacity in bytes.
+ */
+class InfeasiblePlanError : public Error
+{
+  public:
+    using Error::Error;
+};
+
+/**
  * Plans the best single-level schedule for @p chain.
- * Throws Error when no feasible schedule exists under the capacity.
+ * Throws InfeasiblePlanError when no schedule fits the capacity.
  */
 ExecutionPlan planChain(const ir::Chain &chain,
                         const PlannerOptions &options);
@@ -309,7 +321,8 @@ ExecutionPlan planChain(const ir::Chain &chain,
 /**
  * Solves tiles for one pinned block order (no enumeration). Used by the
  * fixed-order (template-library-style) baseline and by sweeps that need
- * a specific order. Throws when the order is infeasible.
+ * a specific order. Throws InfeasiblePlanError when the order does not
+ * fit the capacity.
  */
 ExecutionPlan planFixedOrder(const ir::Chain &chain,
                              const std::vector<ir::AxisId> &perm,

@@ -1,7 +1,9 @@
 #include "tensor/reference.hpp"
 
 #include <cmath>
+#include <limits>
 
+#include "ir/chain.hpp"
 #include "support/error.hpp"
 
 namespace chimera::ref {
@@ -152,6 +154,33 @@ softmaxLastDim(Tensor &t)
             row[j] *= inv;
         }
     }
+}
+
+void
+chainEpilogue(Tensor &scores, ir::Epilogue epilogue, float softmaxScale,
+              bool causalMask)
+{
+    if (epilogue == ir::Epilogue::Relu) {
+        reluInPlace(scores);
+        return;
+    }
+    if (epilogue != ir::Epilogue::Softmax) {
+        return;
+    }
+    float *p = scores.data();
+    for (std::int64_t i = 0; i < scores.numel(); ++i) {
+        p[i] *= softmaxScale;
+    }
+    if (causalMask) {
+        const std::int64_t cols = scores.shape().back();
+        const std::int64_t rows = scores.shape()[scores.rank() - 2];
+        for (std::int64_t row = 0; row < scores.numel() / cols; ++row) {
+            for (std::int64_t j = row % rows + 1; j < cols; ++j) {
+                p[row * cols + j] = -std::numeric_limits<float>::infinity();
+            }
+        }
+    }
+    softmaxLastDim(scores);
 }
 
 void

@@ -11,6 +11,10 @@
 
 #include "tensor/tensor.hpp"
 
+namespace chimera::ir {
+enum class Epilogue;
+} // namespace chimera::ir
+
 namespace chimera::ref {
 
 /** C[M,N] = A[M,K] * B[K,N]. */
@@ -32,6 +36,16 @@ void reluInPlace(Tensor &t);
 
 /** Row-wise softmax over the last dimension. */
 void softmaxLastDim(Tensor &t);
+
+/**
+ * A GEMM chain's intermediate epilogue on a materialized [batch?, rows,
+ * cols] scores tensor, in place: reluInPlace for Relu; for Softmax,
+ * scale by @p softmaxScale, then (with @p causalMask) set column j > row
+ * r to -inf, then softmaxLastDim. The unfused and reference paths share
+ * it; the fused block bodies keep their own on-chip code.
+ */
+void chainEpilogue(Tensor &scores, ir::Epilogue epilogue, float softmaxScale,
+                   bool causalMask);
 
 /** out = a + b elementwise; shapes must match. */
 void add(const Tensor &a, const Tensor &b, Tensor &out);

@@ -15,13 +15,16 @@
 #include "analysis/dependence.hpp"
 #include "analysis/race_checker.hpp"
 #include "exec/chunk_profile.hpp"
+#include "exec/constraints.hpp"
 #include "exec/conv_chain_exec.hpp"
 #include "exec/gemm_chain3_exec.hpp"
 #include "exec/gemm_chain_exec.hpp"
+#include "exec/region_schedule.hpp"
 #include "hw/machines.hpp"
 #include "graph/cnn.hpp"
 #include "graph/transformer.hpp"
 #include "ir/builders.hpp"
+#include "ir/workloads.hpp"
 #include "plan/plan_io.hpp"
 #include "plan/planner.hpp"
 #include "support/rng.hpp"
@@ -630,7 +633,7 @@ TEST(ParallelExec, ExecutorParallelAxesMatchAnalysisExactly)
         const ir::Chain chain = ir::makeGemmChain(cfg);
         const plan::ExecutionPlan plan = planFor(chain, 16.0 * 1024);
         expectBlessedSubsetOfProven(
-            chain, plan, fusedGemmChainParallelAxes(cfg, plan),
+            chain, plan, fusedParallelAxes(chain, plan),
             {"b", "m"});
     }
     {
@@ -644,7 +647,7 @@ TEST(ParallelExec, ExecutorParallelAxesMatchAnalysisExactly)
         const ir::Chain chain = ir::makeGemmChain3(cfg);
         const plan::ExecutionPlan plan = planFor(chain, 48.0 * 1024);
         expectBlessedSubsetOfProven(
-            chain, plan, fusedGemmChain3ParallelAxes(cfg, plan),
+            chain, plan, fusedParallelAxes(chain, plan),
             {"b", "m"});
     }
     {
@@ -661,8 +664,162 @@ TEST(ParallelExec, ExecutorParallelAxesMatchAnalysisExactly)
         const ir::Chain chain = ir::makeConvChain(cfg);
         const plan::ExecutionPlan plan = planFor(chain, 24.0 * 1024);
         expectBlessedSubsetOfProven(
-            chain, plan, fusedConvChainParallelAxes(cfg, plan),
+            chain, plan, fusedParallelAxes(chain, plan),
             {"b", "oh", "ow"});
+    }
+}
+
+const kernels::MicroKernel &
+hostKernel()
+{
+    return kernels::MicroKernelRegistry::instance().select(detectSimdTier());
+}
+
+/** Serial plan at the benches' capacity under the executor constraints. */
+plan::ExecutionPlan
+constrainedPlanFor(const ir::Chain &chain,
+                   const solver::TileConstraints &constraints)
+{
+    plan::PlannerOptions options;
+    options.memCapacityBytes = 768.0 * 1024;
+    options.constraints = constraints;
+    return plan::planChain(chain, options);
+}
+
+/** Region-axis names the walker derives, in plan order. */
+std::vector<std::string>
+walkerRegionAxes(const ir::Chain &chain, const plan::ExecutionPlan &plan)
+{
+    std::vector<std::string> names;
+    for (const RegionLoop &loop : regionLoops(chain, plan)) {
+        names.push_back(
+            chain.axes()[static_cast<std::size_t>(loop.axis)].name);
+    }
+    return names;
+}
+
+/**
+ * The region-loop list a per-shape executor used to hard-code: the
+ * chain axes named in @p hardCoded, in plan order.
+ */
+std::vector<std::string>
+hardCodedRegionAxes(const ir::Chain &chain, const plan::ExecutionPlan &plan,
+                    const std::vector<std::string> &hardCoded)
+{
+    std::vector<std::string> names;
+    for (ir::AxisId axis : plan.perm) {
+        const std::string &name =
+            chain.axes()[static_cast<std::size_t>(axis)].name;
+        if (std::find(hardCoded.begin(), hardCoded.end(), name) !=
+            hardCoded.end()) {
+            names.push_back(name);
+        }
+    }
+    return names;
+}
+
+TEST(RegionWalker, RegionAxesMatchTheFormerHardCodedLists)
+{
+    // The walker reads its region loops off the chain (reorderable axes
+    // every operator loops over); they must be exactly the b/m/l,
+    // b/m and b/oc1/oh/ow lists the per-shape executors hard-coded.
+    for (const ir::GemmChainWorkload &load : ir::tableIvWorkloads()) {
+        for (int variant = 0; variant < 3; ++variant) {
+            GemmChainConfig cfg = load.config;
+            cfg.epilogue = variant == 0 ? Epilogue::None : Epilogue::Softmax;
+            cfg.causalMask = variant == 2;
+            if (cfg.causalMask && cfg.m != cfg.l) {
+                continue;
+            }
+            const ir::Chain chain = ir::makeGemmChain(cfg);
+            const plan::ExecutionPlan plan = constrainedPlanFor(
+                chain, cpuChainConstraints(chain, hostKernel()));
+            EXPECT_EQ(walkerRegionAxes(chain, plan),
+                      hardCodedRegionAxes(chain, plan, {"b", "m", "l"}))
+                << cfg.name << " variant " << variant;
+        }
+    }
+    for (Epilogue epi : {Epilogue::Relu, Epilogue::Softmax}) {
+        ir::GemmChain3Config cfg;
+        cfg.batch = 4;
+        cfg.m = 256;
+        cfg.n = 64;
+        cfg.k = 64;
+        cfg.l = 256;
+        cfg.p = 64;
+        cfg.epilogue = epi;
+        const ir::Chain chain = ir::makeGemmChain3(cfg);
+        const plan::ExecutionPlan plan = constrainedPlanFor(
+            chain, gemmChain3Constraints(chain, hostKernel()));
+        EXPECT_EQ(walkerRegionAxes(chain, plan),
+                  hardCodedRegionAxes(chain, plan, {"b", "m"}));
+    }
+    for (const ir::ConvChainWorkload &load : ir::tableVWorkloads()) {
+        for (Epilogue epi : {Epilogue::None, Epilogue::Relu}) {
+            ConvChainConfig cfg = load.config;
+            cfg.epilogue = epi;
+            const ir::Chain chain = ir::makeConvChain(cfg);
+            const plan::ExecutionPlan plan = constrainedPlanFor(
+                chain, cpuChainConstraints(chain, hostKernel()));
+            EXPECT_EQ(walkerRegionAxes(chain, plan),
+                      hardCodedRegionAxes(chain, plan,
+                                          {"b", "oc1", "oh", "ow"}))
+                << cfg.name;
+        }
+    }
+}
+
+TEST(RegionWalker, SerialRaceScanOfChain3AndAttentionIsClean)
+{
+    // The walker derives each region's race claims from the output
+    // tensor's access map; the chain3 and attention plans must claim
+    // conflict-free at grain 1 and at a chunked grain, and chunking
+    // must not change a bit.
+    for (Epilogue epi : {Epilogue::Relu, Epilogue::Softmax}) {
+        ir::GemmChain3Config cfg;
+        cfg.batch = 3;
+        cfg.m = 48;
+        cfg.n = 24;
+        cfg.k = 16;
+        cfg.l = 40;
+        cfg.p = 20;
+        cfg.epilogue = epi;
+        cfg.softmaxScale = 0.25f;
+        const ir::Chain chain = ir::makeGemmChain3(cfg);
+        plan::PlannerOptions options;
+        options.memCapacityBytes = 24.0 * 1024;
+        options.constraints = gemmChain3Constraints(chain, hostKernel());
+        const plan::ExecutionPlan plan = plan::planChain(chain, options);
+        plan::ExecutionPlan chunked = plan;
+        chunked.parallelGrain.assign(plan.tiles.size(), 2);
+        const ExecOptions serialOptions{1};
+        ASSERT_LT(RegionWalker(chain, chunked, serialOptions).chunkCount(),
+                  RegionWalker(chain, plan, serialOptions).chunkCount());
+
+        Tensor a(gemmChain3ShapeA(cfg));
+        Tensor b(gemmChain3ShapeB(cfg));
+        Tensor d(gemmChain3ShapeD(cfg));
+        Tensor f(gemmChain3ShapeF(cfg));
+        Rng rng(17);
+        fillUniform(a, rng);
+        fillUniform(b, rng);
+        fillUniform(d, rng);
+        fillUniform(f, rng);
+
+        Tensor reference(gemmChain3ShapeE(cfg));
+        for (const plan::ExecutionPlan *p :
+             {&plan, static_cast<const plan::ExecutionPlan *>(&chunked)}) {
+            Tensor e(gemmChain3ShapeE(cfg));
+            analysis::RaceChecker checker(e.numel());
+            runFusedGemmChain3(cfg, *p, ComputeEngine::best(), a, b, d, f,
+                               e, ExecOptions{1, nullptr, &checker});
+            EXPECT_FALSE(checker.hasConflicts()) << checker.report();
+            if (p == &plan) {
+                reference = e;
+            } else {
+                EXPECT_TRUE(bitwiseEqual(e, reference));
+            }
+        }
     }
 }
 

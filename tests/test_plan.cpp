@@ -226,6 +226,21 @@ TEST(Planner, ThrowsWhenNothingFits)
     PlannerOptions options;
     options.memCapacityBytes = 4.0;
     EXPECT_THROW(planChain(chain, options), Error);
+    // Typed as an input error naming the chain and the capacity, with no
+    // source location; the fixed-order path throws the same type.
+    try {
+        (void)planChain(chain, options);
+        FAIL() << "planChain accepted a 4-byte capacity";
+    } catch (const InfeasiblePlanError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(chain.name()), std::string::npos) << what;
+        EXPECT_NE(what.find("capacity of 4 bytes"), std::string::npos)
+            << what;
+        EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+    }
+    EXPECT_THROW(planFixedOrder(chain, permFromOrderString(chain, "m,l,k,n"),
+                                options),
+                 InfeasiblePlanError);
 }
 
 TEST(Planner, RespectsPermutationCap)

@@ -8,7 +8,8 @@
  * the DP01-DP06 concurrency rules), and optionally the micro-kernel
  * register tile (KP01-KP03). Prints every finding as "severity: [rule]
  * location: message" and exits non-zero when any error-severity finding
- * was reported.
+ * was reported. A chain with no schedule that fits --capacity is an
+ * input error, not a finding: exit 2, like bad usage.
  *
  * With --race the tool additionally *executes* the fused chain (gemm
  * and conv modes only) under a shadow-memory race checker: every block
@@ -284,6 +285,8 @@ checkFreshPlan(const ir::Chain &chain,
         if (resolved != nullptr) {
             *resolved = plan;
         }
+    } catch (const plan::InfeasiblePlanError &) {
+        throw; // an input error (chain or --capacity), exit 2 via main
     } catch (const Error &e) {
         report.error("PL05", "planner",
                      std::string("planning failed: ") + e.what());

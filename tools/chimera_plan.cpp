@@ -26,6 +26,8 @@
  *                           JSON to chimera-plan-trace.json on exit
  *   --trace-out <file>      like --trace, to <file> (an unwritable
  *                           path is a usage error: exit 2)
+ * A chain with no schedule that fits --capacity is an input error too:
+ * exit 2 with a message naming the chain and the capacity.
  */
 
 #include <cstdio>
@@ -345,6 +347,10 @@ main(int argc, char **argv)
         } else {
             usage();
         }
+    } catch (const plan::InfeasiblePlanError &e) {
+        // An input error (the chain or --capacity), like bad usage.
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
     } catch (const chimera::Error &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
