@@ -10,9 +10,9 @@
  * (two-GEMM), 3 (three-GEMM + ReLU) and 4 (the attention pattern
  * QK^T -> softmax -> .V -> proj) under every pruning mode and reports,
  * per mode, the planning wall clock and the candidates-solved count
- * next to the exhaustive baseline. Exact modes (symmetry, dominance)
- * must reproduce the exhaustive argmin bitwise — the bench exits 1 if
- * they do not, so CI gets a pruning-soundness gate for free.
+ * next to the exhaustive baseline. The pruning modes (symmetry,
+ * dominance) must reproduce the exhaustive argmin bitwise — the bench
+ * exits 1 if they do not, so CI gets a pruning-soundness gate for free.
  *
  * Writes BENCH_planner.json (run from the repo root in CI). --quick
  * shrinks the shapes; --threads N sets the planner thread count.
@@ -36,7 +36,7 @@ struct ModeResult
     analysis::PruneMode mode = analysis::PruneMode::None;
     double planSeconds = 0.0;
     analysis::SearchStats stats;
-    bool argminMatch = true; // vs the exhaustive plan (exact modes)
+    bool argminMatch = true; // vs the exhaustive plan
 };
 
 struct ChainResult
@@ -90,10 +90,9 @@ benchChain(const ir::Chain &chain,
 
     for (const analysis::PruneMode mode :
          {analysis::PruneMode::None, analysis::PruneMode::Symmetry,
-          analysis::PruneMode::Dominance, analysis::PruneMode::Beam}) {
+          analysis::PruneMode::Dominance}) {
         ModeResult mr = planUnderMode(chain, constraints, threads, mode);
-        if (mode == analysis::PruneMode::Symmetry ||
-            mode == analysis::PruneMode::Dominance) {
+        if (mode != analysis::PruneMode::None) {
             plan::PlannerOptions check = po;
             check.prune = mode;
             const plan::ExecutionPlan pruned =
@@ -117,7 +116,7 @@ main(int argc, char **argv)
         "planner scaling — pruned order search vs chain length",
         "Chains of fused length 2/3/4; per pruning mode: planning wall "
         "clock (best of 3) and tile solves vs exhaustive enumeration. "
-        "Exact modes must reproduce the exhaustive argmin bitwise.");
+        "Pruned modes must reproduce the exhaustive argmin bitwise.");
 
     const std::int64_t s = quick ? 64 : 256;
 
@@ -203,8 +202,6 @@ main(int argc, char **argv)
                  << ", \"filtered\": " << mr.stats.filtered
                  << ", \"symmetry_pruned\": " << mr.stats.symmetryPruned
                  << ", \"dominance_pruned\": " << mr.stats.dominancePruned
-                 << ", \"beam_pruned\": " << mr.stats.beamPruned
-                 << ", \"gap_bytes\": " << mr.stats.gapBoundBytes
                  << ", \"argmin_match\": "
                  << (mr.argminMatch ? "true" : "false") << "}"
                  << (mi + 1 < cr.modes.size() ? "," : "") << "\n";
@@ -217,7 +214,7 @@ main(int argc, char **argv)
     std::printf("wrote BENCH_planner.json\n");
 
     if (!sound) {
-        std::fprintf(stderr, "FATAL: an exact pruning mode changed the "
+        std::fprintf(stderr, "FATAL: a pruning mode changed the "
                              "planner argmin\n");
         return 1;
     }

@@ -13,8 +13,9 @@
 #
 # Search: runs chimera-check --search (order-search replay, see
 # src/verify/search_verifier.hpp) over the clean shapes — pruned search
-# must replay against exhaustive enumeration without OE findings — and
-# over the tampered-search fixture, which must be refused as PL15.
+# must replay against exhaustive enumeration without OE findings. A
+# plan document with a `search:` line (the older format) is refused
+# outright as a syntax error (PL01).
 #
 # Exit-code contract under test: rule violations exit 1, usage/IO
 # failures exit 2, clean runs exit 0.
@@ -107,12 +108,11 @@ search_clean "$CHECK" gemm 1 64 64 64 64 --search --prune symmetry
 search_clean "$CHECK" gemm 4 128 64 64 128 --softmax --search
 search_clean "$CHECK" gemm3 2 64 32 32 48 16 --search
 search_clean "$CHECK" gemm3 1 64 64 64 64 32 --softmax --search # attention
-search_clean "$CHECK" gemm 1 64 64 64 64 --search --prune beam --beam-width 4
 search_clean "$CHECK" conv 1 16 16 16 16 16 3 3 1 1 --search
 
-# pl15: self-consistent counts under a forged digest — the search line
-# was tampered with (or replayed from another plan) and must be refused.
-expect_rule PL15 1 "$CHECK" gemm 1 64 64 64 64 \
+# A `search:` line (here with a forged digest) is not part of the plan
+# document any more: the parser refuses it, naming the line.
+expect_rule PL01 1 "$CHECK" gemm 1 64 64 64 64 \
     --plan tests/fixtures/pl15_tampered_search.plan
 
 echo "== usage/IO failures must exit 2, not 1 =="

@@ -4,7 +4,6 @@
 
 #include "support/error.hpp"
 #include "support/mathutil.hpp"
-#include "support/str.hpp"
 
 namespace chimera::analysis {
 
@@ -21,8 +20,6 @@ pruneModeName(PruneMode mode)
         return "symmetry";
     case PruneMode::Dominance:
         return "dominance";
-    case PruneMode::Beam:
-        return "beam";
     }
     return "none";
 }
@@ -39,48 +36,7 @@ parsePruneMode(std::string_view name)
     if (name == "dominance") {
         return PruneMode::Dominance;
     }
-    if (name == "beam") {
-        return PruneMode::Beam;
-    }
     return std::nullopt;
-}
-
-std::string
-searchDigest(const Chain &chain, const std::vector<AxisId> &perm,
-             const std::vector<std::int64_t> &tiles,
-             const SearchStats &stats)
-{
-    // Mirrors safetyDigest (static_safety.cpp): one canonical blob over
-    // everything the `search:` line claims, bound to the chain
-    // structure and the winning schedule so a line cannot be replayed
-    // onto another plan.
-    std::string blob = ir::chainSignature(chain);
-    blob += "|order=";
-    for (std::size_t i = 0; i < perm.size(); ++i) {
-        if (i != 0) {
-            blob += ",";
-        }
-        blob += std::to_string(perm[i]);
-    }
-    blob += "|tiles=";
-    for (std::size_t i = 0; i < tiles.size(); ++i) {
-        if (i != 0) {
-            blob += ",";
-        }
-        blob += std::to_string(tiles[i]);
-    }
-    blob += "|mode=";
-    blob += pruneModeName(stats.mode);
-    blob += "|enumerated=" + std::to_string(stats.enumerated);
-    blob += "|truncated=";
-    blob += stats.truncated ? "1" : "0";
-    blob += "|filtered=" + std::to_string(stats.filtered);
-    blob += "|symmetry=" + std::to_string(stats.symmetryPruned);
-    blob += "|dominance=" + std::to_string(stats.dominancePruned);
-    blob += "|beam=" + std::to_string(stats.beamPruned);
-    blob += "|solved=" + std::to_string(stats.solved);
-    blob += "|gap=" + std::to_string(stats.gapBoundBytes);
-    return fnv1a64Hex(blob);
 }
 
 OrderAnalyzer::OrderAnalyzer(const Chain &chain,

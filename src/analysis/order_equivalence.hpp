@@ -64,83 +64,54 @@
 
 namespace chimera::analysis {
 
-/** Planner search-pruning mode (PlannerOptions::prune). */
+/** Planner search-pruning mode (PlannerOptions::prune). All three are
+ * exact: the chosen plan is bitwise identical to exhaustive search. */
 enum class PruneMode
 {
     None, ///< Exhaustive: solve every enumerated order.
-    Symmetry, ///< Exact: solve one representative per symmetry class.
-    Dominance, ///< Exact: symmetry + lower-bound dominance pruning.
-    Beam, ///< Inexact: solve the beamWidth best-bound orders only;
-          ///< records a certified optimality-gap bound.
+    Symmetry, ///< Solve one representative per symmetry class.
+    Dominance, ///< Symmetry + lower-bound dominance pruning.
 };
 
-/** Canonical lowercase name ("none", "symmetry", "dominance", "beam"). */
+/** Canonical lowercase name ("none", "symmetry", "dominance"). */
 const char *pruneModeName(PruneMode mode);
 
 /** Inverse of pruneModeName; nullopt for unknown names. */
 std::optional<PruneMode> parsePruneMode(std::string_view name);
 
 /**
- * Where the candidates of one planner search went. Attached to the
- * winning ExecutionPlan, serialized as the v2 `search:` document line,
- * and policed by verify::verifySearchStats (PL15). The counts satisfy
+ * Where the candidates of one planner search went. Attached in memory
+ * to a freshly planned ExecutionPlan (perfbench, `chimera-check
+ * --search` and the `plan.search` span read it); it is not serialized,
+ * so plans loaded from a document or planned for a fixed order carry
+ * all-zero stats. The counts satisfy
  *
- *     enumerated == filtered + symmetryPruned + dominancePruned
- *                 + beamPruned + solved
+ *     enumerated == filtered + symmetryPruned + dominancePruned + solved
  *
  * and, unless truncated, enumerated == (#reorderable axes)!.
  */
 struct SearchStats
 {
-    /** False on hand-assembled/fixed-order plans (no `search:` line). */
-    bool present = false;
-
     PruneMode mode = PruneMode::None;
 
     /** Candidate orders materialized (after the maxPermutations cap). */
     std::int64_t enumerated = 0;
 
-    /** True when maxPermutations cut the enumeration short — the plan
-     * may be suboptimal and cached consumers can see that. */
+    /** True when maxPermutations cut the enumeration short. */
     bool truncated = false;
 
     /** Orders dropped by the executable-order filter. */
     std::int64_t filtered = 0;
 
-    /** Orders pruned as symmetry-class duplicates (exact). */
+    /** Orders pruned as symmetry-class duplicates. */
     std::int64_t symmetryPruned = 0;
 
-    /** Orders pruned by the dominance lower bound (exact). */
+    /** Orders pruned by the dominance lower bound. */
     std::int64_t dominancePruned = 0;
-
-    /** Orders dropped by beam selection (inexact, gap-certified). */
-    std::int64_t beamPruned = 0;
 
     /** Orders actually handed to the tile solver. */
     std::int64_t solved = 0;
-
-    /**
-     * Certified optimality-gap bound, bytes: the true optimum's volume
-     * is >= the plan's volume minus this. 0 for the exact modes; for
-     * beam it is max(0, bestVolume - min lower bound over unsolved
-     * orders).
-     */
-    std::int64_t gapBoundBytes = 0;
-
-    /** fnv1a64Hex binding of chain + schedule + mode + counts + gap. */
-    std::string digest;
 };
-
-/**
- * Tamper-evident digest over everything the `search:` line claims,
- * bound to the chain structure and the winning schedule. Recomputed by
- * the PL15 verifier; a mismatch means the line was forged or replayed
- * onto another plan.
- */
-std::string searchDigest(const ir::Chain &chain,
-                         const std::vector<ir::AxisId> &perm,
-                         const std::vector<std::int64_t> &tiles,
-                         const SearchStats &stats);
 
 /**
  * The static analyzer behind symmetry and dominance pruning. Built

@@ -240,7 +240,7 @@ std::string
 safetyDigest(const Chain &chain, const std::vector<AxisId> &perm,
              const std::vector<std::int64_t> &tiles, int workers,
              const std::vector<std::int64_t> &grain,
-             const std::string &domain, const std::string &rules)
+             const std::string &domain)
 {
     std::string blob = ir::chainSignature(chain);
     blob += "|order=";
@@ -254,7 +254,10 @@ safetyDigest(const Chain &chain, const std::vector<AxisId> &perm,
     blob += "|threads=" + std::to_string(workers);
     blob += "|grain=" + joinInts(grain);
     blob += "|domain=" + domain;
-    blob += "|rules=" + rules;
+    // The certificate always claims every SB rule; the fixed rule list
+    // stays in the blob so digests match documents written when the
+    // list was a `rules=` field of the line.
+    blob += "|rules=sb01,sb02,sb03,sb04";
     return fnv1a64Hex(blob);
 }
 
@@ -656,9 +659,8 @@ analyzeSafety(const Chain &chain, const std::vector<AxisId> &perm,
 
     SafetyCertificate &cert = analysis.certificate;
     cert.domain = domain.summary(chain);
-    cert.rules = "sb01,sb02,sb03,sb04";
     cert.digest = safetyDigest(chain, perm, tiles, std::max(1, workers),
-                               pass.grain, cert.domain, cert.rules);
+                               pass.grain, cert.domain);
     cert.certified = analysis.violations.empty();
     analysis.totalSeconds = total.seconds();
     return analysis;

@@ -131,9 +131,10 @@ struct SafetyViolation
 
 /**
  * Shape-generic safety certificate carried by a certified
- * ExecutionPlan and serialized as the v2 `safety:` document line.
- * The digest binds chain signature, schedule (order/tiles/threads/
- * grain), domain and rule set; PL14 polices the binding on load.
+ * ExecutionPlan and serialized as the v2 `safety:` document line. A
+ * certificate always claims all four SB rules. The digest binds chain
+ * signature, schedule (order/tiles/threads/grain) and domain; PL14
+ * polices the binding on load.
  */
 struct SafetyCertificate
 {
@@ -143,10 +144,7 @@ struct SafetyCertificate
     /** ShapeDomain::summary() of the certified domain. */
     std::string domain = "concrete";
 
-    /** Comma-joined lower-case rule ids, e.g. "sb01,sb02,sb03,sb04". */
-    std::string rules;
-
-    /** fnv1a64Hex over signature + schedule + domain + rules. */
+    /** fnv1a64Hex over signature + schedule + domain. */
     std::string digest;
 };
 
@@ -206,7 +204,7 @@ SafetyAnalysis analyzeSafety(const ir::Chain &chain,
 
 /**
  * The certificate digest: FNV-1a over the chain signature, the
- * schedule (order, tiles, threads, grain) and the domain/rule strings.
+ * schedule (order, tiles, threads, grain) and the domain string.
  * Recomputed by the PL14 validator; any drift rejects the document.
  */
 std::string safetyDigest(const ir::Chain &chain,
@@ -214,7 +212,6 @@ std::string safetyDigest(const ir::Chain &chain,
                          const std::vector<std::int64_t> &tiles,
                          int workers,
                          const std::vector<std::int64_t> &grain,
-                         const std::string &domain,
-                         const std::string &rules);
+                         const std::string &domain);
 
 } // namespace chimera::analysis

@@ -81,16 +81,10 @@ optionsSignature(const PlannerOptions &options)
             out += axis + ":" + std::to_string(maxExtent) + ",";
         }
     }
-    // Search pruning: the exact modes (none/symmetry/dominance) pick
-    // the bitwise-identical plan as exhaustive enumeration, so they
-    // deliberately share fingerprints (entries minted under any of
-    // them — including every pre-pruning entry — stay interchangeable).
-    // Beam is inexact: its plan depends on the beam width, so both
-    // enter the key.
-    if (options.prune == analysis::PruneMode::Beam) {
-        out += ";prune=beam;bw=" +
-               std::to_string(std::max(1, options.beamWidth));
-    }
+    // The pruning mode is not part of the key: every mode picks the
+    // bitwise-identical plan as exhaustive enumeration, so entries
+    // minted under any of them (and every pre-pruning entry) stay
+    // interchangeable.
     auto emitMap =
         [&out](const char *name,
                const std::map<ir::AxisId, std::int64_t> &entries) {

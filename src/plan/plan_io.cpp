@@ -20,6 +20,46 @@ lineContext(int lineNumber, const std::string &line)
            line + "\")";
 }
 
+/**
+ * Splits the value of a "key: a=1 b=2" line into its name=value tokens,
+ * in order. A token without "=", with an empty name or value, or
+ * repeating an earlier name throws, naming the line (@p context) and
+ * the line's @p what ("tile", "grain", ...).
+ */
+std::vector<std::pair<std::string, std::string>>
+splitFields(const std::string &value, const std::string &context,
+            const char *what)
+{
+    std::vector<std::pair<std::string, std::string>> fields;
+    std::set<std::string> seen;
+    std::size_t tokenStart = 0;
+    while (tokenStart < value.size()) {
+        tokenStart = value.find_first_not_of(" \t", tokenStart);
+        if (tokenStart == std::string::npos) {
+            break;
+        }
+        std::size_t tokenEnd = value.find_first_of(" \t", tokenStart);
+        if (tokenEnd == std::string::npos) {
+            tokenEnd = value.size();
+        }
+        const std::string token =
+            value.substr(tokenStart, tokenEnd - tokenStart);
+        tokenStart = tokenEnd;
+        const std::size_t eq = token.find('=');
+        if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
+            throw Error(context + ": malformed " + what + " token \"" +
+                        token + "\"");
+        }
+        std::string name = token.substr(0, eq);
+        if (!seen.insert(name).second) {
+            throw Error(context + ": duplicate " + what + " for \"" +
+                        name + "\"");
+        }
+        fields.emplace_back(std::move(name), token.substr(eq + 1));
+    }
+    return fields;
+}
+
 } // namespace
 
 std::string
@@ -79,22 +119,7 @@ serializePlan(const ir::Chain &chain, const ExecutionPlan &plan,
     // byte-identical to the pre-safety format.
     if (plan.safety.certified) {
         out << "safety: domain=" << plan.safety.domain
-            << " rules=" << plan.safety.rules
             << " digest=" << plan.safety.digest << "\n";
-    }
-    // Fixed-order and hand-assembled plans carried out no search, so
-    // they stay byte-identical to the pre-search format.
-    if (plan.search.present) {
-        out << "search: mode=" << analysis::pruneModeName(plan.search.mode)
-            << " enumerated=" << plan.search.enumerated
-            << " truncated=" << (plan.search.truncated ? 1 : 0)
-            << " filtered=" << plan.search.filtered
-            << " symmetry=" << plan.search.symmetryPruned
-            << " dominance=" << plan.search.dominancePruned
-            << " beam=" << plan.search.beamPruned
-            << " solved=" << plan.search.solved
-            << " gap=" << plan.search.gapBoundBytes
-            << " digest=" << plan.search.digest << "\n";
     }
     out << "volume-bytes: " << static_cast<std::int64_t>(
                                    plan.predictedVolumeBytes)
@@ -163,68 +188,14 @@ parsePlanDocument(const std::string &text)
             doc.order = value;
             doc.haveOrder = true;
         } else if (key == "tiles") {
-            std::set<std::string> seenAxes;
-            std::size_t tokenStart = 0;
-            while (tokenStart < value.size()) {
-                tokenStart = value.find_first_not_of(" \t", tokenStart);
-                if (tokenStart == std::string::npos) {
-                    break;
-                }
-                std::size_t tokenEnd =
-                    value.find_first_of(" \t", tokenStart);
-                if (tokenEnd == std::string::npos) {
-                    tokenEnd = value.size();
-                }
-                const std::string token =
-                    value.substr(tokenStart, tokenEnd - tokenStart);
-                tokenStart = tokenEnd;
-                const std::size_t eq = token.find('=');
-                if (eq == std::string::npos) {
-                    throw Error(context + ": malformed tile token \"" +
-                                token + "\"");
-                }
-                const std::string axisName = token.substr(0, eq);
-                if (!seenAxes.insert(axisName).second) {
-                    throw Error(context + ": duplicate tile for axis \"" +
-                                axisName + "\"");
-                }
-                doc.tiles.emplace_back(
-                    axisName, parseInt64Strict(token.substr(eq + 1),
-                                               context));
+            for (const auto &[axisName, tile] :
+                 splitFields(value, context, "tile")) {
+                doc.tiles.emplace_back(axisName,
+                                       parseInt64Strict(tile, context));
             }
             doc.haveTiles = true;
         } else if (key == "concurrency") {
-            std::set<std::string> seenAxes;
-            std::size_t tokenStart = 0;
-            while (tokenStart < value.size()) {
-                tokenStart = value.find_first_not_of(" \t", tokenStart);
-                if (tokenStart == std::string::npos) {
-                    break;
-                }
-                std::size_t tokenEnd =
-                    value.find_first_of(" \t", tokenStart);
-                if (tokenEnd == std::string::npos) {
-                    tokenEnd = value.size();
-                }
-                const std::string token =
-                    value.substr(tokenStart, tokenEnd - tokenStart);
-                tokenStart = tokenEnd;
-                const std::size_t eq = token.find('=');
-                if (eq == std::string::npos || eq == 0 ||
-                    eq + 1 >= token.size()) {
-                    throw Error(context +
-                                ": malformed concurrency token \"" +
-                                token + "\"");
-                }
-                const std::string axisName = token.substr(0, eq);
-                if (!seenAxes.insert(axisName).second) {
-                    throw Error(context +
-                                ": duplicate concurrency for axis \"" +
-                                axisName + "\"");
-                }
-                doc.concurrency.emplace_back(axisName,
-                                             token.substr(eq + 1));
-            }
+            doc.concurrency = splitFields(value, context, "concurrency");
             doc.haveConcurrency = true;
         } else if (key == "threads") {
             doc.threads = parseInt64Strict(value, context);
@@ -234,35 +205,9 @@ parsePlanDocument(const std::string &text)
             }
             doc.haveThreads = true;
         } else if (key == "grain") {
-            std::set<std::string> seenAxes;
-            std::size_t tokenStart = 0;
-            while (tokenStart < value.size()) {
-                tokenStart = value.find_first_not_of(" \t", tokenStart);
-                if (tokenStart == std::string::npos) {
-                    break;
-                }
-                std::size_t tokenEnd =
-                    value.find_first_of(" \t", tokenStart);
-                if (tokenEnd == std::string::npos) {
-                    tokenEnd = value.size();
-                }
-                const std::string token =
-                    value.substr(tokenStart, tokenEnd - tokenStart);
-                tokenStart = tokenEnd;
-                const std::size_t eq = token.find('=');
-                if (eq == std::string::npos || eq == 0 ||
-                    eq + 1 >= token.size()) {
-                    throw Error(context + ": malformed grain token \"" +
-                                token + "\"");
-                }
-                const std::string axisName = token.substr(0, eq);
-                if (!seenAxes.insert(axisName).second) {
-                    throw Error(context +
-                                ": duplicate grain for axis \"" +
-                                axisName + "\"");
-                }
-                const std::int64_t g =
-                    parseInt64Strict(token.substr(eq + 1), context);
+            for (const auto &[axisName, grain] :
+                 splitFields(value, context, "grain")) {
+                const std::int64_t g = parseInt64Strict(grain, context);
                 if (g < 1) {
                     throw Error(context + ": grain for axis \"" +
                                 axisName + "\" must be >= 1, got " +
@@ -272,67 +217,8 @@ parsePlanDocument(const std::string &text)
             }
             doc.haveGrain = true;
         } else if (key == "safety") {
-            std::set<std::string> seenFields;
-            std::size_t tokenStart = 0;
-            while (tokenStart < value.size()) {
-                tokenStart = value.find_first_not_of(" \t", tokenStart);
-                if (tokenStart == std::string::npos) {
-                    break;
-                }
-                std::size_t tokenEnd =
-                    value.find_first_of(" \t", tokenStart);
-                if (tokenEnd == std::string::npos) {
-                    tokenEnd = value.size();
-                }
-                const std::string token =
-                    value.substr(tokenStart, tokenEnd - tokenStart);
-                tokenStart = tokenEnd;
-                const std::size_t eq = token.find('=');
-                if (eq == std::string::npos || eq == 0 ||
-                    eq + 1 >= token.size()) {
-                    throw Error(context + ": malformed safety token \"" +
-                                token + "\"");
-                }
-                const std::string field = token.substr(0, eq);
-                if (!seenFields.insert(field).second) {
-                    throw Error(context +
-                                ": duplicate safety field \"" + field +
-                                "\"");
-                }
-                doc.safety.emplace_back(field, token.substr(eq + 1));
-            }
+            doc.safety = splitFields(value, context, "safety");
             doc.haveSafety = true;
-        } else if (key == "search") {
-            std::set<std::string> seenFields;
-            std::size_t tokenStart = 0;
-            while (tokenStart < value.size()) {
-                tokenStart = value.find_first_not_of(" \t", tokenStart);
-                if (tokenStart == std::string::npos) {
-                    break;
-                }
-                std::size_t tokenEnd =
-                    value.find_first_of(" \t", tokenStart);
-                if (tokenEnd == std::string::npos) {
-                    tokenEnd = value.size();
-                }
-                const std::string token =
-                    value.substr(tokenStart, tokenEnd - tokenStart);
-                tokenStart = tokenEnd;
-                const std::size_t eq = token.find('=');
-                if (eq == std::string::npos || eq == 0 ||
-                    eq + 1 >= token.size()) {
-                    throw Error(context + ": malformed search token \"" +
-                                token + "\"");
-                }
-                const std::string field = token.substr(0, eq);
-                if (!seenFields.insert(field).second) {
-                    throw Error(context +
-                                ": duplicate search field \"" + field +
-                                "\"");
-                }
-                doc.search.emplace_back(field, token.substr(eq + 1));
-            }
-            doc.haveSearch = true;
         } else if (key == "volume-bytes") {
             doc.declaredVolumeBytes = parseDoubleStrict(value, context);
             doc.haveVolume = true;
@@ -391,15 +277,11 @@ bindSafety(const ir::Chain &chain,
 {
     analysis::SafetyCertificate cert;
     bool haveDomain = false;
-    bool haveRules = false;
     bool haveDigest = false;
     for (const auto &[field, value] : entries) {
         if (field == "domain") {
             cert.domain = value;
             haveDomain = true;
-        } else if (field == "rules") {
-            cert.rules = value;
-            haveRules = true;
         } else if (field == "digest") {
             cert.digest = value;
             haveDigest = true;
@@ -408,36 +290,14 @@ bindSafety(const ir::Chain &chain,
                         "\"");
         }
     }
-    if (!haveDomain || !haveRules || !haveDigest) {
-        throw Error(
-            "plan safety line must carry domain=, rules= and digest=");
+    if (!haveDomain || !haveDigest) {
+        throw Error("plan safety line must carry domain= and digest=");
     }
     // Validates the domain grammar and that it names only chain axes
     // (and admits each concrete extent); the result is discarded — the
     // certificate keeps the canonical string form.
     (void)analysis::parseShapeDomain(chain, cert.domain,
                                      "plan safety domain");
-    std::size_t pos = 0;
-    std::set<std::string> seenRules;
-    while (pos <= cert.rules.size()) {
-        const std::size_t comma = cert.rules.find(',', pos);
-        const std::string rule = cert.rules.substr(
-            pos,
-            comma == std::string::npos ? std::string::npos : comma - pos);
-        if (rule != "sb01" && rule != "sb02" && rule != "sb03" &&
-            rule != "sb04") {
-            throw Error("plan safety line claims unknown rule \"" + rule +
-                        "\"");
-        }
-        if (!seenRules.insert(rule).second) {
-            throw Error("plan safety line claims rule \"" + rule +
-                        "\" more than once");
-        }
-        if (comma == std::string::npos) {
-            break;
-        }
-        pos = comma + 1;
-    }
     if (cert.digest.size() != 16 ||
         cert.digest.find_first_not_of("0123456789abcdef") !=
             std::string::npos) {
@@ -446,79 +306,6 @@ bindSafety(const ir::Chain &chain,
     }
     cert.certified = true;
     return cert;
-}
-
-analysis::SearchStats
-bindSearch(const std::vector<std::pair<std::string, std::string>> &entries)
-{
-    analysis::SearchStats stats;
-    std::set<std::string> bound;
-    const auto counter = [&](const std::string &field,
-                             const std::string &value) {
-        const std::int64_t n = parseInt64Strict(
-            value, "plan search field \"" + field + "\"");
-        if (n < 0) {
-            throw Error("plan search field \"" + field +
-                        "\" must be >= 0, got " + std::to_string(n));
-        }
-        return n;
-    };
-    for (const auto &[field, value] : entries) {
-        if (!bound.insert(field).second) {
-            throw Error("plan search line repeats field \"" + field +
-                        "\"");
-        }
-        if (field == "mode") {
-            const std::optional<analysis::PruneMode> mode =
-                analysis::parsePruneMode(value);
-            if (!mode) {
-                throw Error("plan search line has unknown mode \"" +
-                            value + "\"");
-            }
-            stats.mode = *mode;
-        } else if (field == "enumerated") {
-            stats.enumerated = counter(field, value);
-        } else if (field == "truncated") {
-            if (value != "0" && value != "1") {
-                throw Error("plan search truncated must be 0 or 1, got \"" +
-                            value + "\"");
-            }
-            stats.truncated = value == "1";
-        } else if (field == "filtered") {
-            stats.filtered = counter(field, value);
-        } else if (field == "symmetry") {
-            stats.symmetryPruned = counter(field, value);
-        } else if (field == "dominance") {
-            stats.dominancePruned = counter(field, value);
-        } else if (field == "beam") {
-            stats.beamPruned = counter(field, value);
-        } else if (field == "solved") {
-            stats.solved = counter(field, value);
-        } else if (field == "gap") {
-            stats.gapBoundBytes = counter(field, value);
-        } else if (field == "digest") {
-            stats.digest = value;
-        } else {
-            throw Error("plan search line has unknown field \"" + field +
-                        "\"");
-        }
-    }
-    for (const char *required :
-         {"mode", "enumerated", "truncated", "filtered", "symmetry",
-          "dominance", "beam", "solved", "gap", "digest"}) {
-        if (bound.count(required) == 0) {
-            throw Error(std::string("plan search line is missing ") +
-                        required + "=");
-        }
-    }
-    if (stats.digest.size() != 16 ||
-        stats.digest.find_first_not_of("0123456789abcdef") !=
-            std::string::npos) {
-        throw Error("plan search digest \"" + stats.digest +
-                    "\" is not 16 lowercase hex digits");
-    }
-    stats.present = true;
-    return stats;
 }
 
 ExecutionPlan
@@ -573,9 +360,6 @@ deserializePlan(const ir::Chain &chain, const std::string &text,
 
     if (doc.haveSafety) {
         plan.safety = bindSafety(chain, doc.safety);
-    }
-    if (doc.haveSearch) {
-        plan.search = bindSearch(doc.search);
     }
 
     // Recompute the predictions so a stale document cannot lie.

@@ -9,17 +9,22 @@
  *
  *     chimera-plan v2
  *     fingerprint: 1f0c64d2a9b3e781
- *     chain: <name>
+ *     chain: attention
  *     order: m,l,k,n
  *     tiles: m=128 l=64 k=64 n=64
  *     concurrency: m=parallel l=reduction k=reduction n=parallel
  *     threads: 8
  *     grain: m=2
- *     safety: domain=concrete rules=sb01,sb02,sb03,sb04 digest=9ab1..
- *     search: mode=dominance enumerated=24 truncated=0 filtered=10
- *             symmetry=8 dominance=2 beam=0 solved=4 gap=0 digest=77c2..
+ *     safety: domain=concrete digest=9ab1c3d5e7f90246
  *     volume-bytes: 6291456
  *     mem-bytes: 393216
+ *
+ * The document states the schedule (order, tiles, concurrency, threads,
+ * grain) plus one certificate; volume-bytes and mem-bytes are
+ * recomputed on load. Keys outside this list — including the
+ * `search:` line older v2 documents carried — are rejected with the
+ * offending line named, so such a plan-cache entry is replanned and
+ * overwritten.
  *
  * The threads/grain lines carry the thread-aware chunking: the worker
  * count the plan was solved for and the blocks-per-dispatch-chunk grain
@@ -39,27 +44,14 @@
  * needs mis-declared documents to load so its dynamic race checker can
  * demonstrate the conflict.
  *
- * The safety line carries the static-safety certificate (SB01-SB04,
- * see analysis/static_safety.hpp): the shape domain the plan was
- * certified for, the proven rule set, and a digest binding the
- * certificate to the chain signature and the full schedule. It is
- * emitted only for certified plans (uncertified documents stay
- * byte-identical to the pre-safety format) and policed on load:
- * malformed lines are rejected by the deserializer, while rule PL14
- * re-derives the digest and re-runs the analyzer so a certificate can
- * neither be forged nor replayed onto a different schedule.
- *
- * The search line (one physical line; wrapped above for width)
- * discloses where the planner's candidate orders went (enumerated /
- * filtered / symmetry-pruned / dominance-pruned / beam-pruned /
- * solved), whether maxPermutations truncated the enumeration, the
- * pruning mode, beam mode's certified optimality-gap bound, and a
- * digest binding all of it to the chain and schedule (see
- * analysis/order_equivalence.hpp). It is emitted only for planned
- * plans (fixed-order and hand-assembled plans have no search) and
- * policed on load: malformed lines are rejected by the deserializer,
- * while rule PL15 checks the counts' consistency and re-derives the
- * digest so the claims can neither be forged nor replayed.
+ * The safety line is the plan's one certificate (SB01-SB04, see
+ * analysis/static_safety.hpp): the shape domain all four rules were
+ * proven over and one digest binding it to the chain signature and the
+ * full schedule. It is emitted only for certified plans (uncertified
+ * documents stay byte-identical to the pre-safety format) and policed
+ * on load: malformed lines are rejected by the deserializer, while rule
+ * PL14 re-derives the digest and re-runs the analyzer so a certificate
+ * can neither be forged nor replayed onto a different schedule.
  *
  * The fingerprint line is optional in hand-written documents and
  * mandatory for plan-cache entries: it hashes the chain structure plus
@@ -125,21 +117,12 @@ struct ParsedPlanDoc
 
     /**
      * (key, value) pairs from the "safety:" line, in order (expected
-     * keys: domain, rules, digest). Token grammar is enforced at parse
-     * time; semantic binding (exactly those keys, valid domain/rule
-     * ids, digest shape) is bindSafety's job so the verifier can
-     * report PL14 instead of throwing.
+     * keys: domain, digest). Token grammar is enforced at parse time;
+     * semantic binding (exactly those keys, a valid domain, digest
+     * shape) is bindSafety's job so the verifier can report PL14
+     * instead of throwing.
      */
     std::vector<std::pair<std::string, std::string>> safety;
-
-    /**
-     * (key, value) pairs from the "search:" line, in order (expected
-     * keys: mode, enumerated, truncated, filtered, symmetry, dominance,
-     * beam, solved, gap, digest). Token grammar is enforced at parse
-     * time; semantic binding is bindSearch's job so the verifier can
-     * report PL15 instead of throwing.
-     */
-    std::vector<std::pair<std::string, std::string>> search;
 
     double declaredVolumeBytes = 0.0;
     std::int64_t declaredMemBytes = 0;
@@ -150,7 +133,6 @@ struct ParsedPlanDoc
     bool haveThreads = false;
     bool haveGrain = false;
     bool haveSafety = false;
-    bool haveSearch = false;
     bool haveVolume = false;
     bool haveMem = false;
 };
@@ -178,29 +160,15 @@ std::vector<analysis::AxisConcurrency> bindConcurrency(
 
 /**
  * Binds a parsed "safety:" declaration to @p chain: requires exactly
- * the domain/rules/digest keys (each once), a well-formed shape domain
- * naming only chain axes, known lower-case sb rule ids, and a 16-hex
- * digest. Throws chimera::Error naming the defect; deserializePlan
- * lets it propagate (cache entries replan) and the verifier reports
- * rule PL14 instead. Returns the certificate with certified = true;
+ * the domain/digest keys (each once), a well-formed shape domain
+ * naming only chain axes, and a 16-hex digest. Throws chimera::Error
+ * naming the defect; deserializePlan lets it propagate (cache entries
+ * replan) and the verifier reports rule PL14 instead. Returns the certificate with certified = true;
  * whether the digest *value* matches the bound schedule needs the
  * chain + schedule in hand and is the PL14 validator's job.
  */
 analysis::SafetyCertificate bindSafety(
     const ir::Chain &chain,
-    const std::vector<std::pair<std::string, std::string>> &entries);
-
-/**
- * Binds a parsed "search:" declaration: requires exactly the
- * mode/enumerated/truncated/filtered/symmetry/dominance/beam/solved/
- * gap/digest keys (each once), a known mode name, truncated in {0, 1},
- * non-negative counts, and a 16-hex digest. Throws chimera::Error
- * naming the defect; deserializePlan lets it propagate (cache entries
- * replan) and the verifier reports rule PL15 instead. Whether the
- * counts are *consistent* and the digest matches the bound schedule is
- * verify::verifySearchStats's job.
- */
-analysis::SearchStats bindSearch(
     const std::vector<std::pair<std::string, std::string>> &entries);
 
 /**

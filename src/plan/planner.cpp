@@ -479,7 +479,6 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
         enumerateCandidateOrders(chain, options, &truncated);
 
     analysis::SearchStats stats;
-    stats.present = true;
     stats.mode = options.prune;
     stats.enumerated = static_cast<std::int64_t>(candidates.size());
     stats.truncated = truncated;
@@ -535,10 +534,12 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
 
     std::unordered_set<std::string> seenKeys;
     const bool useSymmetry = options.prune != analysis::PruneMode::None;
+    const bool useDominance =
+        options.prune == analysis::PruneMode::Dominance;
     // Serial pre-pass per candidate: symmetry-class membership, then
     // the executability filter, then (dominance only) the lower bound
     // against the best volume achieved so far.
-    const auto survives = [&](std::size_t i, bool useDominance) {
+    const auto survives = [&](std::size_t i) {
         const std::vector<AxisId> &perm = candidates[i];
         if (useSymmetry &&
             !seenKeys.insert(analyzer.symmetryKey(perm)).second) {
@@ -559,81 +560,21 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
         return true;
     };
 
-    if (options.prune == analysis::PruneMode::Beam) {
-        // One serial pass collects the survivors and their bounds,
-        // then only the beamWidth best-bound orders are solved. The
-        // minimum bound over the unsolved tail certifies the
-        // optimality gap.
-        std::vector<std::size_t> survivors;
-        std::vector<double> bounds;
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-            if (!survives(i, /*useDominance=*/false)) {
-                continue;
+    // Fixed-size batches, independent of the thread count: the pre-pass
+    // of batch B sees exactly the solutions of batches < B, so every
+    // pruning decision (and every count) is identical at 1, 2 or 8
+    // search threads.
+    constexpr std::size_t kBatch = 64;
+    std::vector<std::size_t> batch;
+    for (std::size_t lo = 0; lo < candidates.size(); lo += kBatch) {
+        const std::size_t hi = std::min(candidates.size(), lo + kBatch);
+        batch.clear();
+        for (std::size_t i = lo; i < hi; ++i) {
+            if (survives(i)) {
+                batch.push_back(i);
             }
-            survivors.push_back(i);
-            bounds.push_back(
-                analyzer.lowerBoundIncremental(candidates[i]));
         }
-        std::vector<std::size_t> ranked(survivors.size());
-        for (std::size_t k = 0; k < ranked.size(); ++k) {
-            ranked[k] = k;
-        }
-        std::stable_sort(ranked.begin(), ranked.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return bounds[a] < bounds[b];
-                         });
-        const std::size_t width = std::min(
-            ranked.size(),
-            static_cast<std::size_t>(std::max(1, options.beamWidth)));
-        std::vector<std::size_t> chosen;
-        for (std::size_t k = 0; k < width; ++k) {
-            chosen.push_back(survivors[ranked[k]]);
-        }
-        std::sort(chosen.begin(), chosen.end());
-        solveBatch(chosen);
-        std::size_t solvedUpTo = width;
-        if (!haveBest && width < ranked.size()) {
-            // The beam held only infeasible orders: widen to the full
-            // survivor set rather than failing a plannable chain.
-            std::vector<std::size_t> rest;
-            for (std::size_t k = width; k < ranked.size(); ++k) {
-                rest.push_back(survivors[ranked[k]]);
-            }
-            std::sort(rest.begin(), rest.end());
-            solveBatch(rest);
-            solvedUpTo = ranked.size();
-        }
-        stats.beamPruned =
-            static_cast<std::int64_t>(ranked.size() - solvedUpTo);
-        if (haveBest && solvedUpTo < ranked.size()) {
-            double minUnsolved = bounds[ranked[solvedUpTo]];
-            for (std::size_t k = solvedUpTo; k < ranked.size(); ++k) {
-                minUnsolved = std::min(minUnsolved, bounds[ranked[k]]);
-            }
-            stats.gapBoundBytes =
-                static_cast<std::int64_t>(std::max(
-                    0.0, best.predictedVolumeBytes - minUnsolved));
-        }
-    } else {
-        // Fixed-size batches, independent of the thread count: the
-        // pre-pass of batch B sees exactly the solutions of batches
-        // < B, so every pruning decision (and every count) is
-        // identical at 1, 2 or 8 search threads.
-        constexpr std::size_t kBatch = 64;
-        const bool useDominance =
-            options.prune == analysis::PruneMode::Dominance;
-        std::vector<std::size_t> batch;
-        for (std::size_t lo = 0; lo < candidates.size(); lo += kBatch) {
-            const std::size_t hi =
-                std::min(candidates.size(), lo + kBatch);
-            batch.clear();
-            for (std::size_t i = lo; i < hi; ++i) {
-                if (survives(i, useDominance)) {
-                    batch.push_back(i);
-                }
-            }
-            solveBatch(batch);
-        }
+        solveBatch(batch);
     }
     if (!haveBest) {
         throw InfeasiblePlanError(infeasibleMessage(
@@ -646,7 +587,6 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
         .arg("symmetry_pruned", static_cast<int>(stats.symmetryPruned))
         .arg("dominance_pruned",
              static_cast<int>(stats.dominancePruned))
-        .arg("beam_pruned", static_cast<int>(stats.beamPruned))
         .arg("enumerated", static_cast<int>(stats.enumerated))
         .arg("truncated", stats.truncated ? 1 : 0)
         .arg("dv_bytes", best.predictedVolumeBytes)
@@ -668,12 +608,7 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
                           << sa.renderViolations());
         }
     }
-    // The digest binds the *final* schedule (after chunking refinement
-    // may have re-solved the tiles), so PL15 can tie the search claims
-    // to exactly the plan that is served.
     best.search = stats;
-    best.search.digest =
-        analysis::searchDigest(chain, best.perm, best.tiles, best.search);
     best.planSeconds = timer.seconds();
     CHIMERA_DEBUG("planned "
                   << chain.name() << ": order "
@@ -682,8 +617,7 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
                   << " solved, " << stats.filtered
                   << " filtered as non-executable, "
                   << stats.symmetryPruned << " symmetry-pruned, "
-                  << stats.dominancePruned << " dominance-pruned, "
-                  << stats.beamPruned << " beam-pruned of "
+                  << stats.dominancePruned << " dominance-pruned of "
                   << stats.enumerated << " enumerated"
                   << (stats.truncated ? ", truncated" : "") << ")");
     if (options.verify) {
@@ -706,9 +640,7 @@ enumerateCandidateOrders(const Chain &chain, const PlannerOptions &options,
          allPermutations(static_cast<int>(reorderable.size()))) {
         if (static_cast<int>(candidates.size()) >=
             options.maxPermutations) {
-            // No longer silent: the searchTruncated flag travels with
-            // the plan (and its `search:` document line), so cached
-            // consumers can see the search was not exhaustive.
+            // The cut is also recorded as SearchStats::truncated.
             CHIMERA_WARN("permutation cap reached for chain "
                          << chain.name());
             capped = true;

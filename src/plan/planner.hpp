@@ -78,11 +78,9 @@ struct ExecutionPlan
 
     /**
      * Where the order search's candidates went (enumerated / filtered /
-     * symmetry-pruned / dominance-pruned / beam-pruned / solved),
-     * whether maxPermutations truncated the enumeration, and beam
-     * mode's certified optimality-gap bound. Serialized as the v2
-     * `search:` document line and policed by PL15; absent
-     * (present == false) on fixed-order and hand-assembled plans.
+     * symmetry-pruned / dominance-pruned / solved). In memory only: the
+     * plan document does not carry it, so plans loaded from a document
+     * and fixed-order plans have all-zero stats.
      */
     analysis::SearchStats search;
 
@@ -128,21 +126,11 @@ struct PlannerOptions
     bool onlyExecutableOrders = true;
 
     /**
-     * Search pruning (analysis/order_equivalence.hpp). None, Symmetry
-     * and Dominance are *exact* — the chosen plan is bitwise identical
-     * to exhaustive enumeration, so they are excluded from the cache
-     * key (fingerprints minted under any of them are interchangeable).
-     * Beam is inexact: it solves only the beamWidth best-lower-bound
-     * orders, records a certified optimality-gap bound in the plan's
-     * search stats, and enters the fingerprint/cache key.
+     * Search pruning (analysis/order_equivalence.hpp). Every mode is
+     * exact — the chosen plan is bitwise identical to exhaustive
+     * enumeration — so the mode is excluded from the cache key.
      */
     analysis::PruneMode prune = analysis::PruneMode::Dominance;
-
-    /**
-     * Orders the tile solver actually evaluates under PruneMode::Beam
-     * (after exact symmetry merging). Ignored by the other modes.
-     */
-    int beamWidth = 8;
 
     /**
      * Threads for the (permutation -> tile solve) candidate loop:
@@ -275,7 +263,7 @@ analysis::SafetyAnalysis certifyPlan(const ir::Chain &chain,
  * maxPermutations cap applied) with the pinned axes appended
  * innermost. @p truncated (optional) reports whether the cap cut the
  * enumeration short. Exported so the search verifier can replay the
- * exact search space (OE01-OE04).
+ * exact search space (OE01-OE03).
  */
 std::vector<std::vector<ir::AxisId>>
 enumerateCandidateOrders(const ir::Chain &chain,

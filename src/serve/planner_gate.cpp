@@ -63,9 +63,10 @@ PlannerGate::ensureCertified(const ir::Chain &chain,
 }
 
 plan::ExecutionPlan
-PlannerGate::once(const std::string &key,
+PlannerGate::once(const ir::Chain &chain, const plan::PlannerOptions &po,
                   const std::function<plan::ExecutionPlan()> &planFn)
 {
+    const std::string key = plan::planFingerprint(chain, po);
     std::unique_lock<std::mutex> lock(flightMutex_);
     if (const auto it = flights_.find(key); it != flights_.end()) {
         flightsJoined_.fetch_add(1, std::memory_order_relaxed);
@@ -75,6 +76,12 @@ PlannerGate::once(const std::string &key,
             std::rethrow_exception(flight->error);
         }
         return flight->plan;
+    }
+    // The caller's miss may predate a flight that finished since: its
+    // leader stored the plan before erasing the flight, so the cache
+    // has it now.
+    if (std::optional<plan::ExecutionPlan> hit = cache_.lookup(chain, po)) {
+        return *hit;
     }
     const auto flight = std::make_shared<Flight>();
     flights_[key] = flight;
@@ -118,15 +125,14 @@ PlannerGate::canonicalPlan(const ir::GemmChainConfig &config)
             .arg("mu_bytes", hit->memUsageBytes);
         return *hit;
     }
-    plan::ExecutionPlan plan =
-        once(plan::planFingerprint(chain, po), [&] {
-            // The leader plans with the cache detached so the miss above
-            // stays the key's only miss; the store publishes the plan for
-            // both tiers (and for other processes) before followers wake.
-            plan::ExecutionPlan fresh = plan::planChain(chain, po);
-            cache_.store(chain, po, fresh);
-            return fresh;
-        });
+    plan::ExecutionPlan plan = once(chain, po, [&] {
+        // The leader plans with the cache detached (the gate already
+        // looked it up); the store publishes the plan for both tiers
+        // (and for other processes) before followers wake.
+        plan::ExecutionPlan fresh = plan::planChain(chain, po);
+        cache_.store(chain, po, fresh);
+        return fresh;
+    });
     ensureCertified(chain, po, plan);
     span.arg("outcome", std::string("planned"))
         .arg("dv_bytes", plan.predictedVolumeBytes)
@@ -175,23 +181,19 @@ PlannerGate::batchedPlan(const ir::GemmChainConfig &config,
             .arg("mu_bytes", hit->memUsageBytes);
         return *hit;
     }
-    plan::ExecutionPlan plan =
-        once(plan::planFingerprint(chain, po), [&] {
-            std::vector<ir::AxisId> perm;
-            perm.reserve(static_cast<std::size_t>(chain.numAxes()));
-            perm.push_back(ir::axisIdByName(chain, "b"));
-            for (const ir::AxisId axis : canonical.perm) {
-                perm.push_back(ir::axisIdByName(
-                    chain,
-                    sliceChain.axes()[static_cast<std::size_t>(axis)]
-                        .name));
-            }
-            plan::ExecutionPlan derived =
-                plan::planFixedOrder(chain, perm, po);
-            derivedPlans_.fetch_add(1, std::memory_order_relaxed);
-            cache_.store(chain, po, derived);
-            return derived;
-        });
+    plan::ExecutionPlan plan = once(chain, po, [&] {
+        std::vector<ir::AxisId> perm;
+        perm.reserve(static_cast<std::size_t>(chain.numAxes()));
+        perm.push_back(ir::axisIdByName(chain, "b"));
+        for (const ir::AxisId axis : canonical.perm) {
+            perm.push_back(ir::axisIdByName(
+                chain, sliceChain.axes()[static_cast<std::size_t>(axis)].name));
+        }
+        plan::ExecutionPlan derived = plan::planFixedOrder(chain, perm, po);
+        derivedPlans_.fetch_add(1, std::memory_order_relaxed);
+        cache_.store(chain, po, derived);
+        return derived;
+    });
     ensureCertified(chain, po, plan);
     span.arg("outcome", std::string("planned"))
         .arg("dv_bytes", plan.predictedVolumeBytes)

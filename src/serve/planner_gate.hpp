@@ -114,12 +114,15 @@ class PlannerGate
     };
 
     /**
-     * Runs @p planFn under single-flight for @p key: the first caller
-     * plans, concurrent callers wait and share the result (or the
-     * leader's exception).
+     * Runs @p planFn under single-flight for the fingerprint of
+     * (@p chain, @p po): the first caller plans, concurrent callers wait
+     * and share the result (or the leader's exception). Before leading,
+     * the cache is checked again under the flight lock, so a caller
+     * whose miss raced a flight that has since finished (and stored its
+     * plan) takes the stored plan instead of planning a second time.
      */
     plan::ExecutionPlan
-    once(const std::string &key,
+    once(const ir::Chain &chain, const plan::PlannerOptions &po,
          const std::function<plan::ExecutionPlan()> &planFn);
 
     plan::PlannerOptions plannerOptions(const ir::Chain &chain) const;

@@ -56,9 +56,6 @@ publishedRules()
         {"PL14", "PL", "safety-certificate binding defect (forged/replayed"
                        " or refuted `safety:` line)",
          true},
-        {"PL15", "PL", "search-stats binding defect (inconsistent counts"
-                       " or forged/replayed `search:` line)",
-         true},
         {"KP01", "KP", "micro-kernel register usage exceeds the budget",
          true},
         {"KP02", "KP", "micro-kernel structure: MII < 2 or MII !| MI",
@@ -91,9 +88,6 @@ publishedRules()
          true},
         {"OE03", "OE", "incremental prefix bound diverges from"
                        " from-scratch evaluation",
-         true},
-        {"OE04", "OE", "beam optimality-gap bound refuted by the"
-                       " exhaustive optimum",
          true},
     };
     return rules;

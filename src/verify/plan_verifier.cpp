@@ -9,7 +9,6 @@
 #include "support/mathutil.hpp"
 #include "verify/concurrency_verifier.hpp"
 #include "verify/safety_verifier.hpp"
-#include "verify/search_verifier.hpp"
 
 namespace chimera::verify {
 
@@ -444,12 +443,6 @@ verifyExecutionPlan(const Chain &chain, const plan::ExecutionPlan &plan,
             so.workers = workers;
             report.merge(verifySafetyCertificate(chain, plan, so));
         }
-        // PL15: a plan claiming search stats must survive the counts
-        // audit and the digest recompute (cache lookups audit through
-        // here, so a tampered `search:` line forces a replan).
-        if (plan.search.present) {
-            report.merge(verifySearchStats(chain, plan));
-        }
     }
     return report;
 }
@@ -613,22 +606,6 @@ verifyPlanDocument(const Chain &chain, const plan::ParsedPlanDoc &doc,
                 so.topology = options.topology;
                 so.workers = workers;
                 report.merge(verifySafetyCertificate(chain, bound, so));
-            }
-        }
-
-        // PL15: bind the search line (reported, not thrown) and audit
-        // its claims against the bound schedule.
-        if (doc.haveSearch) {
-            plan::ExecutionPlan bound;
-            bound.perm = perm;
-            bound.tiles = tiles;
-            try {
-                bound.search = plan::bindSearch(doc.search);
-            } catch (const Error &e) {
-                report.error("PL15", "search", e.what());
-            }
-            if (bound.search.present) {
-                report.merge(verifySearchStats(chain, bound));
             }
         }
     }

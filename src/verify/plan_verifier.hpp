@@ -50,8 +50,8 @@
  *          at its own declared thread count
  *  - PL14  safety-certificate binding defect: a `safety:` line with
  *          malformed fields, a domain naming unknown axes, a digest
- *          that does not match the bound chain + schedule, or claimed
- *          SB rules the re-run analyzer refutes (see
+ *          that does not match the bound chain + schedule, or a
+ *          certificate the re-run analyzer refutes (see
  *          safety_verifier.hpp; the SB01-SB04 rules themselves live
  *          there and run as part of verifyExecutionPlan /
  *          verifyPlanDocument on certified plans)

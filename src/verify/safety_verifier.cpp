@@ -1,7 +1,6 @@
 #include "verify/safety_verifier.hpp"
 
 #include <algorithm>
-#include <cctype>
 
 #include "support/error.hpp"
 
@@ -93,7 +92,7 @@ verifySafetyCertificate(const ir::Chain &chain,
             : plan.parallelGrain;
     const std::string expected = analysis::safetyDigest(
         chain, plan.perm, plan.tiles, std::max(1, plan.plannedThreads),
-        grain, cert.domain, cert.rules);
+        grain, cert.domain);
     if (expected != cert.digest) {
         report.error("PL14", "safety.digest",
                      "certificate digest " + cert.digest +
@@ -104,28 +103,15 @@ verifySafetyCertificate(const ir::Chain &chain,
         return report;
     }
 
-    // Re-prove the claimed rules; a certificate the analyzer refutes is
-    // a binding defect (the SB findings say what actually fails).
+    // Re-prove the certificate; one the analyzer refutes is a binding
+    // defect (the SB findings say what actually fails).
     const analysis::SafetyAnalysis sa =
         runAnalyzer(chain, plan, domain, options);
-    bool refuted = false;
-    for (const analysis::SafetyViolation &v : sa.violations) {
-        std::string id = analysis::safetyRuleName(v.rule);
-        std::transform(id.begin(), id.end(), id.begin(),
-                       [](unsigned char c) {
-                           return static_cast<char>(std::tolower(c));
-                       });
-        if (cert.rules.find(id) != std::string::npos) {
-            refuted = true;
-        }
-        report.error(analysis::safetyRuleName(v.rule), v.location,
-                     v.message);
-    }
-    if (refuted) {
+    reportViolations(sa, report);
+    if (!sa.violations.empty()) {
         report.error("PL14", "safety",
-                     "certificate claims rules " + cert.rules +
-                         " over domain " + cert.domain +
-                         " but the analyzer refutes it (see SB findings)");
+                     "certificate over domain " + cert.domain +
+                         " is refuted by the analyzer (see SB findings)");
     }
     return report;
 }

@@ -21,7 +21,7 @@
  *          proof for its output windows (error)
  *  - PL14  certificate binding defect: malformed `safety:` fields, a
  *          digest that does not match the bound chain + schedule, or
- *          claimed rules the re-run analyzer refutes (error). Extends
+ *          a certificate the re-run analyzer refutes (error). Extends
  *          the PL document-binding family the same way PL12 does for
  *          `concurrency:`.
  */
@@ -76,8 +76,9 @@ Report verifyPlanSafety(const ir::Chain &chain,
  * PL14 validation of an attached certificate: recomputes the digest
  * from the bound schedule and re-runs the analyzer over the
  * certificate's own domain, so a `safety:` line can neither be forged
- * nor replayed onto a different schedule. Refuted claims additionally
- * carry their SB findings. No-op (empty report) on uncertified plans.
+ * nor replayed onto a different schedule. A refuted certificate
+ * additionally carries its SB findings. No-op (empty report) on
+ * uncertified plans.
  */
 Report verifySafetyCertificate(const ir::Chain &chain,
                                const plan::ExecutionPlan &plan,

@@ -1,12 +1,10 @@
 #include "verify/search_verifier.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <set>
 #include <unordered_map>
 
 #include "solver/tile_solver.hpp"
-#include "support/mathutil.hpp"
 
 namespace chimera::verify {
 
@@ -41,118 +39,13 @@ samePlan(const plan::ExecutionPlan &a, const plan::ExecutionPlan &b)
 
 } // namespace
 
-Report
-verifySearchStats(const ir::Chain &chain, const plan::ExecutionPlan &plan)
-{
-    Report report;
-    const analysis::SearchStats &s = plan.search;
-    if (!s.present) {
-        return report;
-    }
-    const std::int64_t accounted = s.filtered + s.symmetryPruned +
-                                   s.dominancePruned + s.beamPruned +
-                                   s.solved;
-    if (s.enumerated != accounted) {
-        report.error(
-            "PL15", "search.counts",
-            "candidate accounting does not close: enumerated " +
-                std::to_string(s.enumerated) + " but filtered + pruned" +
-                " + solved is " + std::to_string(accounted));
-    }
-    if (s.solved < 1) {
-        report.error("PL15", "search.solved",
-                     "a winning plan implies at least one solved"
-                     " candidate, line claims " +
-                         std::to_string(s.solved));
-    }
-    const bool claimsSymmetry = s.symmetryPruned != 0;
-    const bool claimsDominance = s.dominancePruned != 0;
-    const bool claimsBeam = s.beamPruned != 0;
-    switch (s.mode) {
-    case PruneMode::None:
-        if (claimsSymmetry || claimsDominance || claimsBeam) {
-            report.error("PL15", "search.mode",
-                         "mode=none (exhaustive) cannot claim pruned"
-                         " candidates");
-        }
-        break;
-    case PruneMode::Symmetry:
-        if (claimsDominance || claimsBeam) {
-            report.error("PL15", "search.mode",
-                         "mode=symmetry cannot claim dominance- or"
-                         " beam-pruned candidates");
-        }
-        break;
-    case PruneMode::Dominance:
-        if (claimsBeam) {
-            report.error("PL15", "search.mode",
-                         "mode=dominance cannot claim beam-pruned"
-                         " candidates");
-        }
-        break;
-    case PruneMode::Beam:
-        if (claimsDominance) {
-            report.error("PL15", "search.mode",
-                         "mode=beam cannot claim dominance-pruned"
-                         " candidates");
-        }
-        break;
-    }
-    if (s.mode != PruneMode::Beam && s.gapBoundBytes != 0) {
-        report.error("PL15", "search.gap",
-                     "exact mode " +
-                         std::string(analysis::pruneModeName(s.mode)) +
-                         " must record gap=0, line claims " +
-                         std::to_string(s.gapBoundBytes));
-    }
-    if (s.mode == PruneMode::Beam && !claimsBeam && s.gapBoundBytes != 0) {
-        report.error("PL15", "search.gap",
-                     "beam search that solved every surviving order"
-                     " must record gap=0, line claims " +
-                         std::to_string(s.gapBoundBytes));
-    }
-    const int reorderable =
-        static_cast<int>(chain.reorderableAxes().size());
-    if (reorderable <= 20) {
-        const std::int64_t full = factorial(reorderable);
-        if (!s.truncated && s.enumerated != full) {
-            report.error(
-                "PL15", "search.enumerated",
-                "untruncated search over " +
-                    std::to_string(reorderable) +
-                    " reorderable axes must enumerate " +
-                    std::to_string(full) + " orders, line claims " +
-                    std::to_string(s.enumerated));
-        }
-        if (s.truncated && s.enumerated >= full) {
-            report.error(
-                "PL15", "search.truncated",
-                "search claims truncation but enumerated all " +
-                    std::to_string(full) + " orders");
-        }
-    }
-    const std::string expected =
-        analysis::searchDigest(chain, plan.perm, plan.tiles, s);
-    if (expected != s.digest) {
-        report.error("PL15", "search.digest",
-                     "search digest " + s.digest +
-                         " does not match this chain + schedule +"
-                         " claims (expected " +
-                         expected +
-                         "); the line was forged or replayed from"
-                         " another plan");
-    }
-    return report;
-}
-
 SearchReplay
 replaySearch(const ir::Chain &chain, const plan::PlannerOptions &options)
 {
     SearchReplay out;
 
     // Fresh plans both times: the cache would hide the very search this
-    // replay exists to check, and the planner's own self-check would
-    // recurse into PL15.
+    // replay exists to check.
     plan::PlannerOptions prunedOpts = options;
     prunedOpts.cache = nullptr;
     prunedOpts.verify = false;
@@ -161,24 +54,8 @@ replaySearch(const ir::Chain &chain, const plan::PlannerOptions &options)
 
     out.pruned = plan::planChain(chain, prunedOpts);
     out.exhaustive = plan::planChain(chain, exhaustiveOpts);
-    out.report.merge(verifySearchStats(chain, out.pruned));
 
-    if (options.prune == PruneMode::Beam) {
-        // OE04: the gap bound must cover however much better the true
-        // optimum is than the beam's pick.
-        const double floor =
-            out.pruned.predictedVolumeBytes -
-            static_cast<double>(out.pruned.search.gapBoundBytes);
-        if (out.exhaustive.predictedVolumeBytes < floor - 0.5) {
-            out.report.error(
-                "OE04", "search.gap",
-                "beam plan (" + describePlan(chain, out.pruned) +
-                    ", gap " +
-                    std::to_string(out.pruned.search.gapBoundBytes) +
-                    "B) is refuted by the exhaustive optimum (" +
-                    describePlan(chain, out.exhaustive) + ")");
-        }
-    } else if (!samePlan(out.pruned, out.exhaustive)) {
+    if (!samePlan(out.pruned, out.exhaustive)) {
         // Attribute the argmin divergence: if symmetry alone already
         // diverges the class merge is unsound (OE01), otherwise the
         // dominance bound pruned the winner (OE02).

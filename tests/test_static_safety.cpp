@@ -129,7 +129,6 @@ TEST(StaticSafety, PlannerCertifiesItsOwnPlans)
         plan::planChain(chain, optionsUnderTest());
     ASSERT_TRUE(plan.safety.certified);
     EXPECT_EQ(plan.safety.domain, "concrete");
-    EXPECT_EQ(plan.safety.rules, "sb01,sb02,sb03,sb04");
     EXPECT_EQ(plan.safety.digest.size(), 16u);
 
     // The certificate survives the legality verifier (PL14 clean).
@@ -153,7 +152,6 @@ TEST(StaticSafety, CertificateSurvivesSerializationRoundTrip)
     EXPECT_TRUE(loaded.safety.certified);
     EXPECT_EQ(loaded.safety.digest, plan.safety.digest);
     EXPECT_EQ(loaded.safety.domain, plan.safety.domain);
-    EXPECT_EQ(loaded.safety.rules, plan.safety.rules);
 }
 
 TEST(StaticSafety, UncertifiedPlanSerializesWithoutSafetyLine)
@@ -202,8 +200,22 @@ TEST(StaticSafety, MalformedSafetyLineRejectsOnDeserialize)
     std::string text = plan::serializePlan(chain, plan);
     const std::size_t pos = text.find("digest=");
     ASSERT_NE(pos, std::string::npos);
-    text.replace(pos + 7, 16, "not-a-hex-digest");
-    EXPECT_THROW((void)plan::deserializePlan(chain, text), Error);
+    std::string badDigest = text;
+    badDigest.replace(pos + 7, 16, "not-a-hex-digest");
+    EXPECT_THROW((void)plan::deserializePlan(chain, badDigest), Error);
+
+    // The older line with a `rules=` field is refused too, naming it.
+    std::string withRules = text;
+    withRules.insert(pos - 1, " rules=sb01,sb02,sb03,sb04");
+    ASSERT_NE(withRules.find("safety: domain=concrete rules=sb01"),
+              std::string::npos);
+    try {
+        (void)plan::deserializePlan(chain, withRules);
+        ADD_FAILURE() << "a rules= field must be refused";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find("rules"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(StaticSafety, Sb01FiresWhenTileExceedsDomainMinimum)

@@ -4,7 +4,7 @@
  *
  * Describes a chain the same way chimera-plan does, audits the chain IR
  * (rules CH01-CH07), then audits either a plan document supplied with
- * --plan or the planner's own winning schedule (rules PL01-PL12 plus
+ * --plan or the planner's own winning schedule (rules PL01-PL14 plus
  * the DP01-DP06 concurrency rules), and optionally the micro-kernel
  * register tile (KP01-KP03). Prints every finding as "severity: [rule]
  * location: message" and exits non-zero when any error-severity finding
@@ -22,13 +22,12 @@
  * RC01 says the disagreement produces conflicting writers in practice.
  *
  * With --search the tool replays the planner's pruned order search
- * against exhaustive enumeration (rules OE01-OE04,
- * src/verify/search_verifier.hpp): exact pruning modes must select the
+ * against exhaustive enumeration (rules OE01-OE03,
+ * src/verify/search_verifier.hpp): the pruned search must select the
  * bitwise-identical plan, sampled symmetry-class members must solve
- * identically to their representatives, every solved order must respect
- * its certified lower bound, and beam mode's optimality-gap bound must
- * cover the exhaustive optimum. --prune picks the audited mode
- * (none/symmetry/dominance/beam, default dominance).
+ * identically to their representatives, and every solved order must
+ * respect its certified lower bound. --prune picks the audited mode
+ * (none/symmetry/dominance, default dominance).
  *
  * With --static the tool runs the symbolic plan-safety analyzer (rules
  * SB01-SB04, src/analysis/static_safety.hpp) on the resolved plan:
@@ -56,10 +55,9 @@
  *   --race               execute the fused chain under the shadow-memory
  *                        race checker (gemm/conv only; rule RC01)
  *   --search             replay the pruned order search against
- *                        exhaustive enumeration (OE01-OE04)
- *   --prune <mode>       pruning mode for --search: none, symmetry,
- *                        dominance (default), or beam
- *   --beam-width <N>     beam width when --prune beam (default 8)
+ *                        exhaustive enumeration (OE01-OE03)
+ *   --prune <mode>       pruning mode for --search: none, symmetry or
+ *                        dominance (default)
  *   --static             run the symbolic safety analyzer (SB01-SB04)
  *   --domain axis=max    widen one axis of the --static shape domain to
  *                        [1, max] (repeatable)
@@ -109,7 +107,6 @@ struct CliOptions
     bool race = false;
     bool search = false;
     analysis::PruneMode prune = analysis::PruneMode::Dominance;
-    int beamWidth = 8;
     bool staticSafety = false;
     std::map<std::string, std::int64_t> safetyDomain; // axis -> max
 };
@@ -132,8 +129,8 @@ usage()
         " [options]\n"
         "options: --plan <file> --fingerprint <hex> --capacity <bytes>"
         " --softmax --relu --registers <N> --no-recount --threads <N>"
-        " --race (gemm/conv only) --search --prune <mode>"
-        " --beam-width <N> --static --domain axis=max\n");
+        " --race (gemm/conv only) --search"
+        " --prune none|symmetry|dominance --static --domain axis=max\n");
     std::exit(2);
 }
 
@@ -168,11 +165,6 @@ parseOptions(int argc, char **argv, int firstOption)
                 usage();
             }
             options.prune = *mode;
-        } else if (arg == "--beam-width" && i + 1 < argc) {
-            options.beamWidth = std::atoi(argv[++i]);
-            if (options.beamWidth < 1) {
-                usage();
-            }
         } else if (arg == "--static") {
             options.staticSafety = true;
         } else if (arg == "--domain" && i + 1 < argc) {
@@ -341,7 +333,7 @@ runStaticSafety(const ir::Chain &chain, const plan::ExecutionPlan &plan,
 /**
  * The --search pass: replays the pruned order search against exhaustive
  * enumeration (verify::replaySearch) and prints both outcomes plus the
- * search-stats line of the pruned run. OE01-OE04 findings land in
+ * search stats of the pruned run. OE01-OE03 findings land in
  * @p report; a planner failure is an environment problem and exits 2
  * through main's catch.
  */
@@ -355,13 +347,12 @@ runSearchReplay(const ir::Chain &chain,
     po.constraints = constraints;
     po.threads = options.threads;
     po.prune = options.prune;
-    po.beamWidth = options.beamWidth;
     const verify::SearchReplay replay =
         verify::replaySearch(chain, po);
     const analysis::SearchStats &s = replay.pruned.search;
     std::printf(
         "search: mode=%s order %s — solved %lld of %lld enumerated"
-        " (filtered %lld, symmetry %lld, dominance %lld, beam %lld%s)\n",
+        " (filtered %lld, symmetry %lld, dominance %lld%s)\n",
         analysis::pruneModeName(s.mode),
         plan::orderString(chain, replay.pruned.perm).c_str(),
         static_cast<long long>(s.solved),
@@ -369,17 +360,13 @@ runSearchReplay(const ir::Chain &chain,
         static_cast<long long>(s.filtered),
         static_cast<long long>(s.symmetryPruned),
         static_cast<long long>(s.dominancePruned),
-        static_cast<long long>(s.beamPruned),
         s.truncated ? "; truncated" : "");
     std::printf(
         "search: exhaustive order %s — solved %lld of %lld enumerated\n",
         plan::orderString(chain, replay.exhaustive.perm).c_str(),
         static_cast<long long>(replay.exhaustive.search.solved),
         static_cast<long long>(replay.exhaustive.search.enumerated));
-    if (s.mode == analysis::PruneMode::Beam) {
-        std::printf("search: beam gap bound %lld bytes\n",
-                    static_cast<long long>(s.gapBoundBytes));
-    } else if (replay.pruned.perm == replay.exhaustive.perm &&
+    if (replay.pruned.perm == replay.exhaustive.perm &&
                replay.pruned.tiles == replay.exhaustive.tiles) {
         std::printf("search: pruned and exhaustive argmin agree\n");
     }
