@@ -2,10 +2,15 @@
  * @file
  * google-benchmark microbenchmarks of the building blocks: registered
  * micro kernels, block matmul across shapes, packing routines, the
- * Algorithm-1 evaluation, and full chain planning.
+ * softmax row kernel, the Algorithm-1 evaluation, and full chain
+ * planning.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "exec/constraints.hpp"
 #include "exec/gemm_chain_exec.hpp"
@@ -13,6 +18,7 @@
 #include "kernels/block_matmul.hpp"
 #include "kernels/mma_tile.hpp"
 #include "kernels/npu_mad.hpp"
+#include "kernels/softmax_row.hpp"
 #include "model/data_movement.hpp"
 #include "plan/planner.hpp"
 #include "support/rng.hpp"
@@ -55,6 +61,48 @@ RegisterMicroKernels()
             [name = kernel.name](benchmark::State &state) {
                 BM_MicroKernel(state, name);
             });
+    }
+}
+
+/**
+ * One full softmax row of @p n scores per iteration through one compiled
+ * body, reported as time per element (`time_per_elem`). Each iteration
+ * first restores the scores, since the kernel overwrites them.
+ */
+void
+BM_SoftmaxRow(benchmark::State &state, kernels::ExpScaleSumRowFn fn,
+              std::int64_t n)
+{
+    std::vector<float> scores(static_cast<std::size_t>(n));
+    Rng rng(5);
+    for (float &v : scores) {
+        v = rng.uniform(-8.0f, 8.0f);
+    }
+    std::vector<float> row(scores.size());
+    for (auto _ : state) {
+        std::copy(scores.begin(), scores.end(), row.begin());
+        benchmark::DoNotOptimize(fn(row.data(), n, n, 0.125f));
+        benchmark::ClobberMemory();
+    }
+    state.counters["time_per_elem"] = benchmark::Counter(
+        static_cast<double>(n),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+
+void
+RegisterSoftmaxRows()
+{
+    for (const kernels::SoftmaxRowKernel &kernel :
+         kernels::softmaxRowKernels()) {
+        for (const std::int64_t n : {64, 208, 512}) {
+            benchmark::RegisterBenchmark(
+                ("BM_SoftmaxRow/" + kernel.name + "/" + std::to_string(n))
+                    .c_str(),
+                [fn = kernel.fn, n](benchmark::State &state) {
+                    BM_SoftmaxRow(state, fn, n);
+                });
+        }
     }
 }
 
@@ -179,6 +227,7 @@ int
 main(int argc, char **argv)
 {
     chimera::RegisterMicroKernels();
+    chimera::RegisterSoftmaxRows();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

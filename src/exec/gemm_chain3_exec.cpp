@@ -1,11 +1,11 @@
 #include "exec/gemm_chain3_exec.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "exec/constraints.hpp"
 #include "exec/region_schedule.hpp"
+#include "kernels/softmax_row.hpp"
 #include "support/error.hpp"
 #include "tensor/reference.hpp"
 
@@ -158,13 +158,9 @@ runFusedGemmChain3(const GemmChain3Config &config,
                 for (std::int64_t bi = 0; bi < bb; ++bi) {
                     for (std::int64_t r = 0; r < mm; ++r) {
                         float *row = c1Tile + (bi * mm + r) * ll;
-                        float sum = 0.0f;
-                        for (std::int64_t j = 0; j < ll; ++j) {
-                            row[j] = std::exp(config.softmaxScale *
-                                              row[j]);
-                            sum += row[j];
-                        }
-                        const float inv = 1.0f / sum;
+                        const float inv =
+                            1.0f / kernels::expScaleSumRow(
+                                       row, ll, ll, config.softmaxScale);
                         for (std::int64_t j = 0; j < ll; ++j) {
                             row[j] *= inv;
                         }

@@ -1,11 +1,11 @@
 #include "exec/gemm_chain_exec.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "exec/region_schedule.hpp"
 #include "ir/builders.hpp"
+#include "kernels/softmax_row.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/mathutil.hpp"
@@ -149,20 +149,13 @@ runFusedGemmChain(const GemmChainConfig &config,
             // normalization stays exact.
             for (std::int64_t bi = 0; bi < bb; ++bi) {
                 for (std::int64_t r = 0; r < mm; ++r) {
-                    float *row = cBase + (bi * mm + r) * ll;
-                    float sum = 0.0f;
-                    const std::int64_t lastValid =
-                        config.causalMask ? (m0 + r) - l0 : ll - 1;
-                    for (std::int64_t j = 0; j < ll; ++j) {
-                        if (j > lastValid) {
-                            row[j] = 0.0f;
-                            continue;
-                        }
-                        row[j] = std::exp(config.softmaxScale * row[j]);
-                        sum += row[j];
-                    }
+                    const std::int64_t valid =
+                        config.causalMask ? (m0 + r) - l0 + 1 : ll;
                     rowSum[static_cast<std::size_t>(
-                        (b0 + bi) * bigM + m0 + r)] += sum;
+                        (b0 + bi) * bigM + m0 + r)] +=
+                        kernels::expScaleSumRow(cBase + (bi * mm + r) * ll,
+                                                ll, valid,
+                                                config.softmaxScale);
                 }
             }
         }
@@ -179,34 +172,25 @@ runFusedGemmChain(const GemmChainConfig &config,
                               bigN, mm, nn, ll);
             }
         }
-    });
 
-    // Deferred softmax division over the finished output; rows are
-    // independent, so they split freely across workers. One span for
-    // the whole phase — per-row events would swamp the trace.
-    if (config.epilogue == Epilogue::Softmax) {
-        analysis::RaceChecker *race = options.raceCheck;
-        if (race != nullptr) {
-            race->beginPhase(chain.name() + " softmax normalize");
+        // Deferred softmax division. l is serial ascending inside the
+        // task that owns these E rows, so the last l block finishes
+        // their GEMM2 accumulation and their row sums; its region's
+        // race claim already covers the rows.
+        if (config.epilogue == Epilogue::Softmax && l0 + ll == bigL) {
+            for (std::int64_t bi = 0; bi < bb; ++bi) {
+                for (std::int64_t r = 0; r < mm; ++r) {
+                    const std::int64_t row = (b0 + bi) * bigM + m0 + r;
+                    const float inv =
+                        1.0f / rowSum[static_cast<std::size_t>(row)];
+                    float *p = e.data() + row * bigN;
+                    for (std::int64_t j = 0; j < bigN; ++j) {
+                        p[j] *= inv;
+                    }
+                }
+            }
         }
-        const std::int64_t rows = config.batch * bigM;
-        obs::Span normSpan(obs::trace(), "exec.softmax_norm", "exec");
-        normSpan.arg("rows", rows);
-        dispatchChunks(walker.pool(), options.profile, rows, false,
-                       [&](std::int64_t row, int) {
-                           if (race != nullptr) {
-                               race->claimRange(row, row * bigN,
-                                                (row + 1) * bigN);
-                           }
-                           const float inv =
-                               1.0f / rowSum[static_cast<std::size_t>(row)];
-                           float *p = e.data() + row * bigN;
-                           for (std::int64_t j = 0; j < bigN; ++j) {
-                               p[j] *= inv;
-                           }
-                           return ChunkTasks{};
-                       });
-    }
+    });
 }
 
 void
@@ -241,7 +225,7 @@ runTiledBatchGemm(const ComputeEngine &engine, const Tensor &a,
     const std::int64_t tasks = batch * mTiles;
     obs::Span execSpan(obs::trace(), "exec.tiled_gemm", "exec");
     execSpan.arg("tasks", tasks);
-    dispatchChunks(execPool(options), options.profile, tasks, true,
+    dispatchChunks(execPool(options), options.profile, tasks,
                    [&](std::int64_t task, int) {
         const std::int64_t bi = task / mTiles;
         const std::int64_t m0 = (task % mTiles) * tiles.tm;

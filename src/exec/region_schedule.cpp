@@ -152,7 +152,6 @@ regionLoops(const ir::Chain &chain, const plan::ExecutionPlan &plan)
 void
 dispatchChunks(
     ThreadPool *pool, ChunkProfile *profile, std::int64_t chunks,
-    bool chunkSpans,
     const std::function<ChunkTasks(std::int64_t chunk, int worker)> &body)
 {
     if (profile != nullptr) {
@@ -160,7 +159,7 @@ dispatchChunks(
     }
     // One clock (obs::nowNanos) feeds both the ChunkProfile critical
     // path and the trace spans, so their timelines agree exactly.
-    obs::TraceRecorder *const tracer = chunkSpans ? obs::trace() : nullptr;
+    obs::TraceRecorder *const tracer = obs::trace();
     parallelFor(pool, 0, chunks, [&](std::int64_t chunk, int worker) {
         const std::int64_t start = obs::nowNanos();
         const ChunkTasks tasks = body(chunk, worker);
@@ -291,7 +290,7 @@ RegionWalker::run(const char *spanName,
     const std::int64_t chunks = chunkCount();
     obs::Span execSpan(obs::trace(), spanName, "exec");
     execSpan.arg("chunks", chunks).arg("workers", workers);
-    dispatchChunks(pool_, options_.profile, chunks, true,
+    dispatchChunks(pool_, options_.profile, chunks,
                    [&](std::int64_t chunk, int worker) {
         WorkerState &state = states[static_cast<std::size_t>(worker)];
         Region &region = state.region;

@@ -103,13 +103,11 @@ struct ChunkTasks
 /**
  * One profiled dispatch phase: runs @p body for every chunk in
  * [0, chunks) on @p pool, charges each chunk's wall time to @p profile
- * (when non-null) and, when @p chunkSpans, records it as an `exec.chunk`
- * span with its chunk and worker (plus task_lo/task_hi when the body
- * reports them).
+ * (when non-null) and records it as an `exec.chunk` span with its chunk
+ * and worker (plus task_lo/task_hi when the body reports them).
  */
 void dispatchChunks(
     ThreadPool *pool, ChunkProfile *profile, std::int64_t chunks,
-    bool chunkSpans,
     const std::function<ChunkTasks(std::int64_t chunk, int worker)> &body);
 
 /**
@@ -134,9 +132,6 @@ class RegionWalker
     {
         return parallel_;
     }
-
-    /** Resolved pool (nullptr = serial). */
-    ThreadPool *pool() const { return pool_; }
 
     /** Dispatch chunks under the plan's grain. */
     std::int64_t chunkCount() const;

@@ -1,17 +1,27 @@
 /**
  * @file
  * Unit tests for the replaceable micro kernels: registry behaviour,
- * parameter selection (§V-B), packing, and block matmul correctness for
- * every registered implementation.
+ * parameter selection (§V-B), packing, block matmul correctness for
+ * every registered implementation, and the softmax row kernel at every
+ * compiled tier.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "kernels/block_matmul.hpp"
 #include "kernels/kernel_params.hpp"
 #include "kernels/micro_kernel.hpp"
+#include "kernels/softmax_row.hpp"
+#include "support/aligned.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "tensor/reference.hpp"
@@ -307,6 +317,186 @@ TEST(NaiveBlockMatmul, MatchesReference)
     naiveBlockMatmul(a.data(), 11, b.data(), 13, c.data(), 13, 9, 13, 11);
     EXPECT_TRUE(allClose(c, expected, 1e-4f, 1e-4f));
 }
+
+/** Parameterized over every compiled softmax row tier, scalar spec first. */
+class SoftmaxRow : public ::testing::TestWithParam<std::size_t>
+{
+  protected:
+    ExpScaleSumRowFn fn() const
+    {
+        return softmaxRowKernels()[GetParam()].fn;
+    }
+};
+
+/** Distance in ulps between two finite floats of the same sign. */
+std::int64_t
+ulpDistance(float a, float b)
+{
+    return std::llabs(static_cast<std::int64_t>(std::bit_cast<std::int32_t>(a)) -
+                      std::bit_cast<std::int32_t>(b));
+}
+
+TEST_P(SoftmaxRow, ExpWithinTwoUlpOfStdExp)
+{
+    constexpr float kLo = -87.3f;
+    constexpr float kHi = 88.7f;
+    constexpr std::int64_t kPoints = 1 << 20;
+    std::vector<float> row(static_cast<std::size_t>(kPoints));
+    for (std::int64_t i = 0; i < kPoints; ++i) {
+        row[static_cast<std::size_t>(i)] =
+            kLo + (kHi - kLo) * static_cast<float>(i) /
+                      static_cast<float>(kPoints - 1);
+    }
+    row.back() = kHi;
+    const std::vector<float> x = row;
+    fn()(row.data(), kPoints, kPoints, 1.0f);
+    std::int64_t worst = 0;
+    float worstX = 0.0f;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        const std::int64_t ulps = ulpDistance(row[i], std::exp(x[i]));
+        if (ulps > worst) {
+            worst = ulps;
+            worstX = x[i];
+        }
+    }
+    EXPECT_LE(worst, 2) << "at x = " << worstX;
+}
+
+TEST_P(SoftmaxRow, OverflowsToInfAndUnderflowsToZero)
+{
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    const std::vector<float> big = {88.73f, 88.8f, 89.0f, 100.0f, 1e10f,
+                                    kInf};
+    const std::vector<float> tiny = {-104.01f, -105.0f, -150.0f, -1e4f,
+                                     -1e30f, -kInf};
+    std::vector<float> row = big;
+    const auto n = static_cast<std::int64_t>(row.size());
+    EXPECT_EQ(fn()(row.data(), n, n, 1.0f), kInf);
+    for (float v : row) {
+        EXPECT_EQ(v, kInf);
+    }
+    row = tiny;
+    EXPECT_EQ(fn()(row.data(), n, n, 1.0f), 0.0f);
+    for (float v : row) {
+        EXPECT_EQ(v, 0.0f);
+    }
+}
+
+TEST_P(SoftmaxRow, NanInIsNanOut)
+{
+    constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> row = {0.5f, kNan, -1.0f, 2.0f, kNan};
+    // Position 4 lies past valid: it is zeroed, not read.
+    const float sum = fn()(row.data(), 5, 4, 1.0f);
+    EXPECT_TRUE(std::isnan(sum));
+    EXPECT_TRUE(std::isnan(row[1]));
+    EXPECT_LE(ulpDistance(row[0], std::exp(0.5f)), 2);
+    EXPECT_LE(ulpDistance(row[2], std::exp(-1.0f)), 2);
+    EXPECT_LE(ulpDistance(row[3], std::exp(2.0f)), 2);
+    EXPECT_EQ(row[4], 0.0f);
+
+    std::vector<float> masked = {1.0f, kNan, kNan};
+    EXPECT_FALSE(std::isnan(fn()(masked.data(), 3, 1, 1.0f)));
+    EXPECT_EQ(masked[1], 0.0f);
+    EXPECT_EQ(masked[2], 0.0f);
+}
+
+TEST_P(SoftmaxRow, EveryLengthAndValidPrefix)
+{
+    constexpr float kScale = 0.37f;
+    constexpr float kGuard = 12345.0f;
+    Rng rng(5);
+    for (std::int64_t n = 1; n <= 70; ++n) {
+        std::vector<float> x(static_cast<std::size_t>(n));
+        for (float &v : x) {
+            v = rng.uniform(-8.0f, 8.0f);
+        }
+        for (std::int64_t valid = -1; valid <= n + 1; ++valid) {
+            std::vector<float> row = x;
+            row.push_back(kGuard);
+            const float sum = fn()(row.data(), n, valid, kScale);
+            double written = 0.0;
+            for (std::int64_t j = 0; j < n; ++j) {
+                const float got = row[static_cast<std::size_t>(j)];
+                if (j >= valid) {
+                    EXPECT_EQ(std::bit_cast<std::uint32_t>(got), 0u)
+                        << "n " << n << " valid " << valid << " j " << j;
+                    continue;
+                }
+                const float want =
+                    std::exp(kScale * x[static_cast<std::size_t>(j)]);
+                EXPECT_LE(ulpDistance(got, want), 2)
+                    << "n " << n << " valid " << valid << " j " << j;
+                written += got;
+            }
+            EXPECT_EQ(row.back(), kGuard) << "wrote past n = " << n;
+            EXPECT_LE(std::abs(sum - written), 1e-6 * written)
+                << "n " << n << " valid " << valid;
+        }
+    }
+}
+
+TEST_P(SoftmaxRow, SameBitsAtEveryAlignment)
+{
+    constexpr std::int64_t kMaxN = 70;
+    AlignedBuffer<float> buffer =
+        allocateAligned<float>(static_cast<std::size_t>(kMaxN + 16));
+    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(buffer.get()) % 64, 0u);
+    Rng rng(6);
+    for (std::int64_t n : {1, 7, 15, 16, 17, 33, 64, 70}) {
+        std::vector<float> x(static_cast<std::size_t>(n));
+        for (float &v : x) {
+            v = rng.uniform(-6.0f, 6.0f);
+        }
+        for (std::int64_t valid : {n / 2, n}) {
+            std::vector<float> first;
+            float firstSum = 0.0f;
+            for (std::int64_t offset = 0; offset < 16; ++offset) {
+                float *row = buffer.get() + offset;
+                std::copy(x.begin(), x.end(), row);
+                const float sum = fn()(row, n, valid, 0.5f);
+                std::vector<float> out(row, row + n);
+                if (offset == 0) {
+                    first = out;
+                    firstSum = sum;
+                    continue;
+                }
+                EXPECT_EQ(std::bit_cast<std::uint32_t>(sum),
+                          std::bit_cast<std::uint32_t>(firstSum))
+                    << "n " << n << " offset " << offset;
+                EXPECT_EQ(std::memcmp(out.data(), first.data(),
+                                      out.size() * sizeof(float)),
+                          0)
+                    << "n " << n << " offset " << offset;
+            }
+        }
+    }
+}
+
+TEST(SoftmaxRowDispatch, EntryPointRunsTheWidestCompiledTier)
+{
+    const std::vector<SoftmaxRowKernel> &tiers = softmaxRowKernels();
+    ASSERT_FALSE(tiers.empty());
+    EXPECT_EQ(tiers.front().name, "scalar");
+    Rng rng(8);
+    std::vector<float> x(45);
+    for (float &v : x) {
+        v = rng.uniform(-4.0f, 4.0f);
+    }
+    std::vector<float> viaEntry = x;
+    std::vector<float> viaWidest = x;
+    const float a = expScaleSumRow(viaEntry.data(), 45, 30, 0.25f);
+    const float b = tiers.back().fn(viaWidest.data(), 45, 30, 0.25f);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(a), std::bit_cast<std::uint32_t>(b));
+    EXPECT_EQ(viaEntry, viaWidest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTiers, SoftmaxRow,
+    ::testing::Range<std::size_t>(0, softmaxRowKernels().size()),
+    [](const ::testing::TestParamInfo<std::size_t> &info) {
+        return softmaxRowKernels()[info.param].name;
+    });
 
 } // namespace
 } // namespace chimera::kernels

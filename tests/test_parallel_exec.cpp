@@ -1,7 +1,7 @@
 /**
  * @file
  * Determinism tests for the parallel executors: every fused/tiled
- * executor must produce bitwise-identical outputs at 1, 2, and 8
+ * executor must produce bitwise-identical outputs at 1, 2, 4 and 8
  * threads, because only dependence-free block loops are distributed and
  * every floating-point reduction keeps its serial ascending order.
  */
@@ -37,7 +37,7 @@ using ir::ConvChainConfig;
 using ir::Epilogue;
 using ir::GemmChainConfig;
 
-constexpr int kThreadCounts[] = {1, 2, 8};
+constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
 bool
 bitwiseEqual(const Tensor &a, const Tensor &b)
@@ -58,18 +58,36 @@ planFor(const ir::Chain &chain, double capacityBytes)
 
 TEST(ParallelExec, FusedGemmChainBitwiseIdenticalAcrossThreadCounts)
 {
-    for (Epilogue epi :
-         {Epilogue::None, Epilogue::Relu, Epilogue::Softmax}) {
+    struct Variant
+    {
+        Epilogue epi;
+        bool causal;
+    };
+    // The causal variant has m == l = 40, not a multiple of 16: its
+    // rows above the diagonal block have no live column (valid <= 0)
+    // and the rest end in masked vector tails.
+    for (const Variant variant : {Variant{Epilogue::None, false},
+                                  Variant{Epilogue::Relu, false},
+                                  Variant{Epilogue::Softmax, false},
+                                  Variant{Epilogue::Softmax, true}}) {
+        const Epilogue epi = variant.epi;
         GemmChainConfig cfg;
         cfg.batch = 3;
-        cfg.m = 48;
+        cfg.m = variant.causal ? 40 : 48;
         cfg.n = 24;
         cfg.k = 16;
         cfg.l = 40;
         cfg.epilogue = epi;
         cfg.softmaxScale = 0.25f;
+        cfg.causalMask = variant.causal;
         const ir::Chain chain = ir::makeGemmChain(cfg);
-        const plan::ExecutionPlan plan = planFor(chain, 16.0 * 1024);
+        const plan::ExecutionPlan plan =
+            planFor(chain, (variant.causal ? 3.0 : 16.0) * 1024);
+        if (variant.causal) {
+            ASSERT_LT(plan.tiles[static_cast<std::size_t>(
+                          ir::axisIdByName(chain, "l"))],
+                      cfg.l);
+        }
         const ComputeEngine engine = ComputeEngine::best();
 
         Tensor a(gemmChainShapeA(cfg));
@@ -87,8 +105,8 @@ TEST(ParallelExec, FusedGemmChainBitwiseIdenticalAcrossThreadCounts)
             runFusedGemmChain(cfg, plan, engine, a, b, d, e,
                               ExecOptions{threads, nullptr});
             EXPECT_TRUE(bitwiseEqual(e, serial))
-                << "epilogue " << static_cast<int>(epi) << " threads "
-                << threads;
+                << "epilogue " << static_cast<int>(epi) << " causal "
+                << variant.causal << " threads " << threads;
         }
     }
 }
