@@ -59,6 +59,17 @@ expect_rule RC01 1 "$CHECK" gemm 1 64 64 64 64 --race \
     --plan tests/fixtures/race_parallel_l.plan
 expect_rule RC01 1 "$CHECK" conv 1 16 16 16 16 16 3 3 1 1 --race \
     --plan tests/fixtures/race_parallel_oc1.plan
+# RC01 must come only from observed conflicts: a document that no longer
+# parses is PL01 and the scan is skipped, so the two RC01 gates above
+# cannot pass on a fixture that has decayed.
+expect_rule PL01 1 "$CHECK" gemm 1 64 64 64 64 --race \
+    --plan tests/fixtures/bad_syntax.plan
+unbound_out="$("$CHECK" gemm 1 64 64 64 64 --race \
+    --plan tests/fixtures/bad_syntax.plan 2>&1)" || true
+if grep -q "\[RC01\]" <<<"$unbound_out"; then
+    echo "error: an unparseable document was reported as a race (RC01)" >&2
+    exit 1
+fi
 
 echo "== planner schedules must certify statically =="
 static_clean() {

@@ -45,12 +45,6 @@ checkedMul(std::int64_t a, std::int64_t b, bool &ovf)
     return clamp128(static_cast<__int128>(a) * static_cast<__int128>(b), ovf);
 }
 
-std::string
-axisName(const Chain &chain, AxisId a)
-{
-    return chain.axes()[static_cast<std::size_t>(a)].name;
-}
-
 /** Joins int64 values with commas ("16,8,1"). */
 std::string
 joinInts(const std::vector<std::int64_t> &values)
@@ -252,7 +246,12 @@ safetyDigest(const Chain &chain, const std::vector<AxisId> &perm,
     }
     blob += "|tiles=" + joinInts(tiles);
     blob += "|threads=" + std::to_string(workers);
-    blob += "|grain=" + joinInts(grain);
+    // An empty grain vector means grain 1 on every axis.
+    blob += "|grain=" +
+            (grain.empty()
+                 ? joinInts(std::vector<std::int64_t>(
+                       static_cast<std::size_t>(chain.numAxes()), 1))
+                 : joinInts(grain));
     blob += "|domain=" + domain;
     // The certificate always claims every SB rule; the fixed rule list
     // stays in the blob so digests match documents written when the
@@ -271,7 +270,7 @@ struct Pass
     const std::vector<AxisConcurrency> &kinds;
     const ShapeDomain &domain;
     int workers;
-    std::vector<std::int64_t> grain; // always numAxes entries, >= 1
+    const std::vector<std::int64_t> &grain; // empty or numAxes entries
     std::vector<SafetyViolation> &violations;
 
     void add(SafetyRule rule, std::string location, std::string message)
@@ -309,7 +308,7 @@ checkBounds(Pass &p)
                         tileReported[a] = true;
                         p.add(SafetyRule::SB01, loc,
                               "tile " + std::to_string(tile) + " on axis " +
-                                  axisName(p.chain, term.axis) +
+                                  p.chain.axisName(term.axis) +
                                   " is degenerate; block windows are "
                                   "ill-formed");
                     }
@@ -321,7 +320,7 @@ checkBounds(Pass &p)
                     const std::int64_t reach =
                         checkedMul(term.coeff, tile - 1, ovf);
                     p.add(SafetyRule::SB01, loc,
-                          "axis " + axisName(p.chain, term.axis) + " tile " +
+                          "axis " + p.chain.axisName(term.axis) + " tile " +
                               std::to_string(tile) +
                               " exceeds the smallest admissible extent " +
                               std::to_string(minExtent) +
@@ -467,8 +466,8 @@ checkOverflow(Pass &p, std::int64_t maxLiveBytes, bool liveOverflow)
 
     // Chunk stride grain*T per parallel axis (the dispatch loops
     // advance block indices in grain-sized strides).
-    for (AxisId a = 0; a < p.chain.numAxes(); ++a) {
-        const std::size_t i = static_cast<std::size_t>(a);
+    for (std::size_t i = 0; i < p.grain.size(); ++i) {
+        const AxisId a = static_cast<AxisId>(i);
         if (p.grain[i] <= 1) {
             continue;
         }
@@ -476,7 +475,7 @@ checkOverflow(Pass &p, std::int64_t maxLiveBytes, bool liveOverflow)
         (void)checkedMul(p.grain[i], std::max<std::int64_t>(1, p.tiles[i]),
                          ovf);
         if (ovf) {
-            p.add(SafetyRule::SB03, "axis " + axisName(p.chain, a),
+            p.add(SafetyRule::SB03, "axis " + p.chain.axisName(a),
                   "chunk stride grain*tile overflows int64");
         }
     }
@@ -521,7 +520,7 @@ checkDisjointness(Pass &p)
                     op.outputTensorId)];
             if (!out.usesAxis(axis)) {
                 p.add(SafetyRule::SB04, op.name,
-                      "axis " + axisName(p.chain, axis) +
+                      "axis " + p.chain.axisName(axis) +
                           " is marked parallel but " + op.name +
                           " accumulates into " + out.name +
                           ", whose access map does not use it (a "
@@ -569,7 +568,7 @@ checkDisjointness(Pass &p)
                 continue;
             }
             p.add(SafetyRule::SB04, op.name,
-                  "axis " + axisName(p.chain, axis) +
+                  "axis " + p.chain.axisName(axis) +
                       " is marked parallel but distinct blocks can write "
                       "overlapping " +
                       out.name + " indices for shapes up to the domain's "
@@ -589,7 +588,7 @@ checkDisjointness(Pass &p)
                 const std::size_t ti = static_cast<std::size_t>(term.axis);
                 if (p.kinds[ti] == AxisConcurrency::Parallel) {
                     p.add(SafetyRule::SB04, tensor.name,
-                          "axis " + axisName(p.chain, term.axis) +
+                          "axis " + p.chain.axisName(term.axis) +
                               " is marked parallel but the softmax row "
                               "normalization accumulates across its "
                               "blocks of " +
@@ -628,10 +627,7 @@ analyzeSafety(const Chain &chain, const std::vector<AxisId> &perm,
               kinds,
               domain,
               std::max(1, workers),
-              grain.empty()
-                  ? std::vector<std::int64_t>(
-                        static_cast<std::size_t>(chain.numAxes()), 1)
-                  : grain,
+              grain,
               analysis.violations};
 
     {

@@ -204,8 +204,10 @@ SafetyAnalysis analyzeSafety(const ir::Chain &chain,
 
 /**
  * The certificate digest: FNV-1a over the chain signature, the
- * schedule (order, tiles, threads, grain) and the domain string.
- * Recomputed by the PL14 validator; any drift rejects the document.
+ * schedule (order, tiles, threads, grain) and the domain string. An
+ * empty @p grain hashes as grain 1 on every axis, so serial plans get
+ * one digest whichever form they carry. Recomputed by the PL14
+ * validator; any drift rejects the document.
  */
 std::string safetyDigest(const ir::Chain &chain,
                          const std::vector<ir::AxisId> &perm,

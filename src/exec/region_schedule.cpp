@@ -136,13 +136,9 @@ regionLoops(const ir::Chain &chain, const plan::ExecutionPlan &plan)
 {
     std::vector<RegionLoop> loops;
     for (ir::AxisId axis : plan.perm) {
-        const ir::Axis &decl = chain.axes()[static_cast<std::size_t>(axis)];
-        const bool everyOp = std::all_of(
-            chain.ops().begin(), chain.ops().end(),
-            [&](const ir::OpDecl &op) { return op.usesLoop(axis); });
-        if (decl.reorderable && everyOp) {
+        if (chain.isRegionAxis(axis)) {
             loops.push_back(RegionLoop{
-                axis, decl.extent,
+                axis, chain.axes()[static_cast<std::size_t>(axis)].extent,
                 plan.tiles[static_cast<std::size_t>(axis)]});
         }
     }

@@ -430,12 +430,11 @@ makeSingleConv(std::int64_t batch, std::int64_t ic, std::int64_t h,
 AxisId
 axisIdByName(const Chain &chain, const std::string &name)
 {
-    for (int i = 0; i < chain.numAxes(); ++i) {
-        if (chain.axes()[static_cast<std::size_t>(i)].name == name) {
-            return i;
-        }
+    const AxisId axis = chain.findAxis(name);
+    if (axis < 0) {
+        throw Error("unknown axis name: " + name);
     }
-    throw Error("unknown axis name: " + name);
+    return axis;
 }
 
 } // namespace chimera::ir

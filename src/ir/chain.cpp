@@ -106,6 +106,26 @@ Chain::reorderableAxes() const
     return result;
 }
 
+AxisId
+Chain::findAxis(const std::string &name) const
+{
+    for (AxisId a = 0; a < numAxes(); ++a) {
+        if (axisName(a) == name) {
+            return a;
+        }
+    }
+    return -1;
+}
+
+bool
+Chain::isRegionAxis(AxisId axis) const
+{
+    return axes_[static_cast<std::size_t>(axis)].reorderable &&
+           std::all_of(ops_.begin(), ops_.end(), [axis](const OpDecl &op) {
+               return op.usesLoop(axis);
+           });
+}
+
 std::vector<AxisId>
 Chain::pinnedAxes() const
 {

@@ -132,8 +132,25 @@ class Chain
     /** Number of independent axes I. */
     int numAxes() const { return static_cast<int>(axes_.size()); }
 
+    /** Id of the axis named @p name, or -1 when the chain has none. */
+    AxisId findAxis(const std::string &name) const;
+
+    /** Name of axis @p axis. */
+    const std::string &axisName(AxisId axis) const
+    {
+        return axes_[static_cast<std::size_t>(axis)].name;
+    }
+
     /** Axis ids the planner may permute (Axis::reorderable). */
     std::vector<AxisId> reorderableAxes() const;
+
+    /**
+     * True when @p axis is a fused region loop: a reorderable axis every
+     * operator loops over. The executors walk these blocked
+     * (exec::regionLoops) and the planner chunks the Parallel ones
+     * across workers.
+     */
+    bool isRegionAxis(AxisId axis) const;
 
     /** Axis ids pinned innermost, in declaration order. */
     std::vector<AxisId> pinnedAxes() const;

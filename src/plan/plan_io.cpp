@@ -1,10 +1,10 @@
 #include "plan/plan_io.hpp"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
 #include "analysis/dependence.hpp"
-#include "ir/builders.hpp"
 #include "model/data_movement.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
@@ -60,6 +60,134 @@ splitFields(const std::string &value, const std::string &context,
     return fields;
 }
 
+/**
+ * Resolves an "order:" value into @p perm: each comma-separated name to
+ * its axis (PL02 for a name the chain does not have), then the axes the
+ * value omits (pinned kernel axes) appended innermost. Whether the
+ * result is a permutation is not judged here. Returns false when some
+ * name did not resolve.
+ */
+bool
+bindOrder(const ir::Chain &chain, const std::string &order,
+          std::vector<ir::AxisId> &perm, verify::Report &defects)
+{
+    // Manual split (no stringstream): runs during warm plan-cache
+    // lookups, where first-stream construction cost matters.
+    bool ok = true;
+    std::size_t start = 0;
+    while (start < order.size()) {
+        std::size_t comma = order.find(',', start);
+        if (comma == std::string::npos) {
+            comma = order.size();
+        }
+        const std::string name = order.substr(start, comma - start);
+        start = comma + 1;
+        const ir::AxisId axis = chain.findAxis(name);
+        if (axis < 0) {
+            defects.error("PL02", "order", "unknown axis name: " + name);
+            ok = false;
+            continue;
+        }
+        perm.push_back(axis);
+    }
+    for (ir::AxisId a = 0; a < chain.numAxes(); ++a) {
+        if (std::find(perm.begin(), perm.end(), a) == perm.end()) {
+            perm.push_back(a);
+        }
+    }
+    return ok;
+}
+
+/**
+ * Binds a "concurrency:" declaration: resolves axis names, parses kind
+ * tokens, and rejects unknown axes, unknown kinds and incomplete
+ * coverage (every chain axis exactly once). Throws chimera::Error
+ * naming the defect (the binder records it as PL12).
+ */
+std::vector<analysis::AxisConcurrency>
+bindConcurrency(
+    const ir::Chain &chain,
+    const std::vector<std::pair<std::string, std::string>> &entries)
+{
+    std::vector<analysis::AxisConcurrency> kinds(
+        static_cast<std::size_t>(chain.numAxes()),
+        analysis::AxisConcurrency::Sequential);
+    std::vector<bool> bound(static_cast<std::size_t>(chain.numAxes()),
+                            false);
+    for (const auto &[axisName, kindName] : entries) {
+        const ir::AxisId axis = chain.findAxis(axisName);
+        if (axis < 0) {
+            throw Error("plan concurrency declares axis \"" + axisName +
+                        "\" which chain " + chain.name() +
+                        " does not have");
+        }
+        // Repeated names never get here: the parser rejects them.
+        const std::size_t slot = static_cast<std::size_t>(axis);
+        bound[slot] = true;
+        kinds[slot] = analysis::concurrencyFromName(
+            kindName, "plan concurrency for axis \"" + axisName + "\"");
+    }
+    for (int a = 0; a < chain.numAxes(); ++a) {
+        if (!bound[static_cast<std::size_t>(a)]) {
+            throw Error("plan concurrency is incomplete: axis \"" +
+                        chain.axisName(a) + "\" has no declared class");
+        }
+    }
+    return kinds;
+}
+
+/**
+ * Binds a "safety:" declaration: exactly the domain/digest keys, a
+ * well-formed shape domain naming only chain axes, and a 16-hex digest.
+ * Throws chimera::Error naming the defect (the binder records it as
+ * PL14). Whether the digest *value* matches the schedule is the PL14
+ * validator's job (verify/safety_verifier.hpp).
+ */
+analysis::SafetyCertificate
+bindSafety(const ir::Chain &chain,
+           const std::vector<std::pair<std::string, std::string>> &entries)
+{
+    analysis::SafetyCertificate cert;
+    for (const auto &[field, value] : entries) {
+        if (field == "domain") {
+            cert.domain = value;
+        } else if (field == "digest") {
+            cert.digest = value;
+        } else {
+            throw Error("plan safety line has unknown field \"" + field +
+                        "\"");
+        }
+    }
+    // The parser rejects empty values, so empty means absent.
+    if (cert.domain.empty() || cert.digest.empty()) {
+        throw Error("plan safety line must carry domain= and digest=");
+    }
+    // Validates the domain grammar and that it names only chain axes
+    // (and admits each concrete extent); the result is discarded — the
+    // certificate keeps the canonical string form.
+    (void)analysis::parseShapeDomain(chain, cert.domain,
+                                     "plan safety domain");
+    if (cert.digest.size() != 16 ||
+        cert.digest.find_first_not_of("0123456789abcdef") !=
+            std::string::npos) {
+        throw Error("plan safety digest \"" + cert.digest +
+                    "\" is not 16 lowercase hex digits");
+    }
+    cert.certified = true;
+    return cert;
+}
+
+/** Throws the message of the first error in @p defects, if any. */
+void
+throwFirstError(const verify::Report &defects)
+{
+    for (const verify::Finding &finding : defects.findings()) {
+        if (finding.severity == verify::Severity::Error) {
+            throw Error(finding.message);
+        }
+    }
+}
+
 } // namespace
 
 std::string
@@ -77,15 +205,14 @@ serializePlan(const ir::Chain &chain, const ExecutionPlan &plan,
     out << "order: " << orderString(chain, plan.perm) << "\n";
     out << "tiles:";
     for (int a = 0; a < chain.numAxes(); ++a) {
-        out << " " << chain.axes()[static_cast<std::size_t>(a)].name << "="
+        out << " " << chain.axisName(a) << "="
             << plan.tiles[static_cast<std::size_t>(a)];
     }
     out << "\n";
     if (static_cast<int>(plan.concurrency.size()) == chain.numAxes()) {
         out << "concurrency:";
         for (int a = 0; a < chain.numAxes(); ++a) {
-            out << " " << chain.axes()[static_cast<std::size_t>(a)].name
-                << "="
+            out << " " << chain.axisName(a) << "="
                 << analysis::concurrencyName(
                        plan.concurrency[static_cast<std::size_t>(a)]);
         }
@@ -107,9 +234,7 @@ serializePlan(const ir::Chain &chain, const ExecutionPlan &plan,
         out << "grain:";
         for (int a = 0; a < chain.numAxes(); ++a) {
             if (plan.parallelGrain[static_cast<std::size_t>(a)] > 1) {
-                out << " "
-                    << chain.axes()[static_cast<std::size_t>(a)].name
-                    << "="
+                out << " " << chain.axisName(a) << "="
                     << plan.parallelGrain[static_cast<std::size_t>(a)];
             }
         }
@@ -232,80 +357,96 @@ parsePlanDocument(const std::string &text)
     return doc;
 }
 
-std::vector<analysis::AxisConcurrency>
-bindConcurrency(
-    const ir::Chain &chain,
-    const std::vector<std::pair<std::string, std::string>> &entries)
+ExecutionPlan
+bindPlanDocument(const ir::Chain &chain, const ParsedPlanDoc &doc,
+                 verify::Report &defects)
 {
-    std::vector<analysis::AxisConcurrency> kinds(
-        static_cast<std::size_t>(chain.numAxes()),
-        analysis::AxisConcurrency::Sequential);
-    std::vector<bool> bound(static_cast<std::size_t>(chain.numAxes()),
-                            false);
-    for (const auto &[axisName, kindName] : entries) {
-        ir::AxisId axis = -1;
-        try {
-            axis = ir::axisIdByName(chain, axisName);
-        } catch (const Error &) {
-            throw Error("plan concurrency declares axis \"" + axisName +
-                        "\" which chain " + chain.name() +
-                        " does not have");
-        }
-        const std::size_t slot = static_cast<std::size_t>(axis);
-        if (bound[slot]) {
-            throw Error("plan concurrency declares axis \"" + axisName +
-                        "\" more than once");
-        }
-        bound[slot] = true;
-        kinds[slot] = analysis::concurrencyFromName(
-            kindName, "plan concurrency for axis \"" + axisName + "\"");
+    ExecutionPlan plan;
+    if (!doc.haveOrder) {
+        defects.error("PL05", "order", "plan document has no order line");
+    } else if (std::vector<ir::AxisId> perm;
+               bindOrder(chain, doc.order, perm, defects)) {
+        plan.perm = std::move(perm);
     }
-    for (int a = 0; a < chain.numAxes(); ++a) {
-        if (!bound[static_cast<std::size_t>(a)]) {
-            throw Error(
-                "plan concurrency is incomplete: axis \"" +
-                chain.axes()[static_cast<std::size_t>(a)].name +
-                "\" has no declared class");
-        }
-    }
-    return kinds;
-}
 
-analysis::SafetyCertificate
-bindSafety(const ir::Chain &chain,
-           const std::vector<std::pair<std::string, std::string>> &entries)
-{
-    analysis::SafetyCertificate cert;
-    bool haveDomain = false;
-    bool haveDigest = false;
-    for (const auto &[field, value] : entries) {
-        if (field == "domain") {
-            cert.domain = value;
-            haveDomain = true;
-        } else if (field == "digest") {
-            cert.digest = value;
-            haveDigest = true;
-        } else {
-            throw Error("plan safety line has unknown field \"" + field +
-                        "\"");
+    if (!doc.haveTiles) {
+        defects.error("PL05", "tiles", "plan document has no tiles line");
+    } else {
+        bool ok = true;
+        std::vector<std::int64_t> tiles(
+            static_cast<std::size_t>(chain.numAxes()), 0);
+        std::vector<bool> haveTile(tiles.size(), false);
+        for (const auto &[axisName, tile] : doc.tiles) {
+            const ir::AxisId axis = chain.findAxis(axisName);
+            if (axis < 0) {
+                defects.error("PL02", "tiles",
+                              "unknown axis name: " + axisName);
+                ok = false;
+                continue;
+            }
+            tiles[static_cast<std::size_t>(axis)] = tile;
+            haveTile[static_cast<std::size_t>(axis)] = true;
+        }
+        for (ir::AxisId a = 0; a < chain.numAxes(); ++a) {
+            if (!haveTile[static_cast<std::size_t>(a)]) {
+                defects.error("PL05", "tiles." + chain.axisName(a),
+                              "plan tiles give no size for axis " +
+                                  chain.axisName(a));
+                ok = false;
+            }
+        }
+        if (ok) {
+            plan.tiles = std::move(tiles);
         }
     }
-    if (!haveDomain || !haveDigest) {
-        throw Error("plan safety line must carry domain= and digest=");
+
+    if (doc.haveConcurrency) {
+        try {
+            plan.concurrency = bindConcurrency(chain, doc.concurrency);
+        } catch (const Error &e) {
+            defects.error("PL12", "concurrency", e.what());
+        }
+    } else if (doc.version >= 2) {
+        defects.note("DP06", "concurrency",
+                     "v2 document declares no concurrency table; the"
+                     " loader falls back to fresh dependence analysis");
     }
-    // Validates the domain grammar and that it names only chain axes
-    // (and admits each concrete extent); the result is discarded — the
-    // certificate keeps the canonical string form.
-    (void)analysis::parseShapeDomain(chain, cert.domain,
-                                     "plan safety domain");
-    if (cert.digest.size() != 16 ||
-        cert.digest.find_first_not_of("0123456789abcdef") !=
-            std::string::npos) {
-        throw Error("plan safety digest \"" + cert.digest +
-                    "\" is not 16 lowercase hex digits");
+
+    // Thread-aware chunking lines: a grain only makes sense relative to
+    // the worker count it was solved for.
+    if (doc.haveGrain && !doc.haveThreads) {
+        defects.error("PL13", "grain",
+                      "plan document has a grain line without a threads"
+                      " line");
     }
-    cert.certified = true;
-    return cert;
+    plan.plannedThreads = static_cast<int>(doc.threads);
+    if (doc.haveThreads || doc.haveGrain) {
+        plan.parallelGrain.assign(static_cast<std::size_t>(chain.numAxes()),
+                                  1);
+        for (const auto &[axisName, g] : doc.grain) {
+            const ir::AxisId axis = chain.findAxis(axisName);
+            if (axis < 0) {
+                defects.error("PL02", "grain",
+                              "plan grain declares axis \"" + axisName +
+                                  "\" which chain " + chain.name() +
+                                  " does not have");
+                continue;
+            }
+            plan.parallelGrain[static_cast<std::size_t>(axis)] = g;
+        }
+    }
+
+    if (doc.haveSafety) {
+        try {
+            plan.safety = bindSafety(chain, doc.safety);
+        } catch (const Error &e) {
+            defects.error("PL14", "safety", e.what());
+        }
+    }
+
+    plan.predictedVolumeBytes = doc.declaredVolumeBytes;
+    plan.memUsageBytes = doc.declaredMemBytes;
+    return plan;
 }
 
 ExecutionPlan
@@ -313,8 +454,6 @@ deserializePlan(const ir::Chain &chain, const std::string &text,
                 const std::string &expectedFingerprint)
 {
     const ParsedPlanDoc doc = parsePlanDocument(text);
-    CHIMERA_CHECK(doc.haveOrder && doc.haveTiles,
-                  "plan document missing order or tiles");
     if (!expectedFingerprint.empty() &&
         doc.fingerprint != expectedFingerprint) {
         throw Error("plan fingerprint mismatch: expected " +
@@ -322,45 +461,12 @@ deserializePlan(const ir::Chain &chain, const std::string &text,
                     (doc.fingerprint.empty() ? std::string("none")
                                              : doc.fingerprint));
     }
-
-    ExecutionPlan plan;
-    plan.perm = permFromOrderString(chain, doc.order);
-    plan.tiles.assign(static_cast<std::size_t>(chain.numAxes()), 0);
-    for (const auto &[axisName, tile] : doc.tiles) {
-        plan.tiles[static_cast<std::size_t>(
-            ir::axisIdByName(chain, axisName))] = tile;
-    }
+    verify::Report defects;
+    ExecutionPlan plan = bindPlanDocument(chain, doc, defects);
+    throwFirstError(defects);
     model::validatePermutation(chain, plan.perm);
     model::validateTiles(chain, plan.tiles);
-    plan.concurrency =
-        doc.haveConcurrency
-            ? bindConcurrency(chain, doc.concurrency)
-            : analysis::analyzeConcurrency(chain, plan.tiles).kinds();
-
-    // Thread-aware chunking lines: a grain only makes sense relative to
-    // the worker count it was solved for.
-    CHIMERA_CHECK(!doc.haveGrain || doc.haveThreads,
-                  "plan document has a grain line without a threads line");
-    plan.plannedThreads = static_cast<int>(doc.threads);
-    if (doc.haveThreads) {
-        plan.parallelGrain.assign(static_cast<std::size_t>(chain.numAxes()),
-                                  1);
-        for (const auto &[axisName, g] : doc.grain) {
-            ir::AxisId axis = -1;
-            try {
-                axis = ir::axisIdByName(chain, axisName);
-            } catch (const Error &) {
-                throw Error("plan grain declares axis \"" + axisName +
-                            "\" which chain " + chain.name() +
-                            " does not have");
-            }
-            plan.parallelGrain[static_cast<std::size_t>(axis)] = g;
-        }
-    }
-
-    if (doc.haveSafety) {
-        plan.safety = bindSafety(chain, doc.safety);
-    }
+    plan.concurrency = effectiveConcurrency(chain, plan);
 
     // Recompute the predictions so a stale document cannot lie.
     const model::DataMovement dm =
@@ -368,6 +474,17 @@ deserializePlan(const ir::Chain &chain, const std::string &text,
     plan.predictedVolumeBytes = dm.volumeBytes;
     plan.memUsageBytes = dm.memUsageBytes;
     return plan;
+}
+
+std::vector<ir::AxisId>
+permFromOrderString(const ir::Chain &chain, const std::string &order)
+{
+    verify::Report defects;
+    std::vector<ir::AxisId> perm;
+    bindOrder(chain, order, perm, defects);
+    throwFirstError(defects);
+    model::validatePermutation(chain, perm);
+    return perm;
 }
 
 } // namespace chimera::plan

@@ -40,8 +40,8 @@
  * when present it must cover every chain axis exactly once with a
  * known kind, and axes the chain does not have are rejected outright.
  * Whether the declared classes *agree* with a fresh analysis is the
- * verifier's job (DP rules), not the deserializer's: chimera-check
- * needs mis-declared documents to load so its dynamic race checker can
+ * verifier's job (DP rules), not the binder's: chimera-check needs
+ * mis-declared documents to load so its dynamic race checker can
  * demonstrate the conflict.
  *
  * The safety line is the plan's one certificate (SB01-SB04, see
@@ -49,9 +49,9 @@
  * proven over and one digest binding it to the chain signature and the
  * full schedule. It is emitted only for certified plans (uncertified
  * documents stay byte-identical to the pre-safety format) and policed
- * on load: malformed lines are rejected by the deserializer, while rule
- * PL14 re-derives the digest and re-runs the analyzer so a certificate
- * can neither be forged nor replayed onto a different schedule.
+ * on load: the binder rejects malformed lines, while rule PL14
+ * re-derives the digest and re-runs the analyzer so a certificate can
+ * neither be forged nor replayed onto a different schedule.
  *
  * The fingerprint line is optional in hand-written documents and
  * mandatory for plan-cache entries: it hashes the chain structure plus
@@ -63,10 +63,11 @@
  * token (trailing garbage such as "m=64abc" is rejected, not truncated),
  * duplicate keys and duplicate tile axes are rejected, and every failure
  * is reported as chimera::Error naming the offending line — malformed
- * input never escapes as a raw std:: exception. The parsed plan is then
- * validated against the chain it is applied to (axis names, tile ranges,
- * permutation completeness) and its predictions are recomputed, so a
- * stale or tampered document cannot lie.
+ * input never escapes as a raw std:: exception. The parsed document is
+ * then bound to the chain it is applied to (bindPlanDocument: axis
+ * names, coverage), validated (tile ranges, permutation completeness)
+ * and its predictions are recomputed, so a stale or tampered document
+ * cannot lie.
  */
 
 #include <cstdint>
@@ -75,15 +76,17 @@
 #include <vector>
 
 #include "plan/planner.hpp"
+#include "verify/diagnostics.hpp"
 
 namespace chimera::plan {
 
 /**
  * Raw fields of a plan document after the syntax pass, before binding
- * to a chain. parsePlanDocument fills this; deserializePlan binds it
- * (axis lookup, permutation/tile validation, prediction recompute) and
- * verify::verifyPlanDocument audits it without throwing so chimera-check
- * can report every defect of an adversarial document.
+ * to a chain. parsePlanDocument fills this and bindPlanDocument — the
+ * only binder — resolves it against a chain. deserializePlan (the plan
+ * cache's disk-hit path) and verify::verifyPlanDocument (chimera-check)
+ * both bind through it: the first throws on the first defect, the
+ * second reports every defect of an adversarial document.
  */
 struct ParsedPlanDoc
 {
@@ -104,8 +107,7 @@ struct ParsedPlanDoc
 
     /**
      * (axis name, kind name) pairs from the "concurrency:" line, in
-     * order. Kind names are validated at binding time (PL12/DP01), not
-     * here, so the verifier can report instead of throwing.
+     * order. Axis and kind names are resolved by the binder (PL12).
      */
     std::vector<std::pair<std::string, std::string>> concurrency;
 
@@ -118,9 +120,8 @@ struct ParsedPlanDoc
     /**
      * (key, value) pairs from the "safety:" line, in order (expected
      * keys: domain, digest). Token grammar is enforced at parse time;
-     * semantic binding (exactly those keys, a valid domain, digest
-     * shape) is bindSafety's job so the verifier can report PL14
-     * instead of throwing.
+     * exactly those keys, a valid domain and the digest shape are the
+     * binder's (PL14).
      */
     std::vector<std::pair<std::string, std::string>> safety;
 
@@ -147,29 +148,33 @@ struct ParsedPlanDoc
 ParsedPlanDoc parsePlanDocument(const std::string &text);
 
 /**
- * Binds a parsed "concurrency:" declaration to @p chain: resolves axis
- * names, parses kind tokens, and rejects unknown axes, unknown kinds,
- * duplicates, and incomplete coverage (every chain axis must appear
- * exactly once). Throws chimera::Error naming the defect; the verifier
- * catches it and reports rule PL12 instead. Returns the per-AxisId
- * kinds.
+ * The one plan-document binder: resolves @p doc against @p chain into
+ * an ExecutionPlan and records every name-binding defect in @p defects
+ * under its verifier rule id instead of stopping at the first:
+ *  - PL02  an unknown axis in the order, tiles or grain line
+ *  - PL05  a missing order or tiles line, or an axis with no tile
+ *  - PL12  a concurrency line naming an unknown axis or kind, or not
+ *          covering every chain axis
+ *  - PL13  a grain line without a threads line
+ *  - PL14  a malformed safety line (fields, domain, digest shape)
+ *  - DP06  (note) a v2 document without a concurrency line
+ *
+ * It does not judge values: the bound perm may repeat an axis and the
+ * tiles may be out of range, and the DP rules and the certificate's
+ * digest are not checked. deserializePlan throws the first defect and
+ * validates; verify::verifyPlanDocument reports them all and verifies
+ * the bound plan.
+ *
+ * In the bound plan, perm (tiles) is empty when the order (tiles) line
+ * does not bind; concurrency is empty when the document declares none
+ * or the declaration does not bind; safety is uncertified unless the
+ * safety line binds; grain is all 1s plus the declared entries when the
+ * document has a threads or grain line, else empty; the predictions are
+ * the declared values (0 when a line is absent).
  */
-std::vector<analysis::AxisConcurrency> bindConcurrency(
-    const ir::Chain &chain,
-    const std::vector<std::pair<std::string, std::string>> &entries);
-
-/**
- * Binds a parsed "safety:" declaration to @p chain: requires exactly
- * the domain/digest keys (each once), a well-formed shape domain
- * naming only chain axes, and a 16-hex digest. Throws chimera::Error
- * naming the defect; deserializePlan lets it propagate (cache entries
- * replan) and the verifier reports rule PL14 instead. Returns the certificate with certified = true;
- * whether the digest *value* matches the bound schedule needs the
- * chain + schedule in hand and is the PL14 validator's job.
- */
-analysis::SafetyCertificate bindSafety(
-    const ir::Chain &chain,
-    const std::vector<std::pair<std::string, std::string>> &entries);
+ExecutionPlan bindPlanDocument(const ir::Chain &chain,
+                               const ParsedPlanDoc &doc,
+                               verify::Report &defects);
 
 /**
  * Serializes @p plan for @p chain into the v2 text format. A non-empty
@@ -187,7 +192,9 @@ std::string serializePlan(const ir::Chain &chain, const ExecutionPlan &plan,
  * (the plan cache turns that into a silent replan).
  *
  * Throws chimera::Error — with the offending line quoted — on malformed
- * input, and on chain mismatch after parsing.
+ * input, and on chain mismatch after parsing: the first defect
+ * bindPlanDocument records, then an invalid permutation or tile range.
+ * A document without a concurrency line gets a fresh analysis.
  */
 ExecutionPlan deserializePlan(const ir::Chain &chain,
                               const std::string &text,

@@ -139,35 +139,9 @@ orderString(const Chain &chain, const std::vector<AxisId> &perm)
         if (i != 0) {
             oss << ",";
         }
-        oss << chain.axes()[static_cast<std::size_t>(perm[i])].name;
+        oss << chain.axisName(perm[i]);
     }
     return oss.str();
-}
-
-std::vector<AxisId>
-permFromOrderString(const Chain &chain, const std::string &order)
-{
-    // Manual split (no stringstream): runs during warm plan-cache
-    // lookups, where first-stream construction cost matters.
-    std::vector<AxisId> perm;
-    std::size_t start = 0;
-    while (start < order.size()) {
-        std::size_t comma = order.find(',', start);
-        if (comma == std::string::npos) {
-            comma = order.size();
-        }
-        perm.push_back(ir::axisIdByName(
-            chain, order.substr(start, comma - start)));
-        start = comma + 1;
-    }
-    // Append any axes the string omitted (pinned kernel axes), innermost.
-    for (AxisId a = 0; a < chain.numAxes(); ++a) {
-        if (std::find(perm.begin(), perm.end(), a) == perm.end()) {
-            perm.push_back(a);
-        }
-    }
-    model::validatePermutation(chain, perm);
-    return perm;
 }
 
 namespace {
@@ -193,48 +167,6 @@ infeasibleMessage(const std::string &what, const PlannerOptions &options)
     oss << what << " under a memory capacity of " << std::fixed
         << std::setprecision(0) << options.memCapacityBytes << " bytes";
     return oss.str();
-}
-
-/**
- * The axes whose blocks the executors distribute across workers: region
- * axes of the on-chip intermediates (the executors' region loops walk
- * exactly these) that the dependence analysis proved Parallel. Chains
- * without intermediates fall back to the output tensors' axes. Sorted
- * ascending by AxisId (deterministic).
- */
-std::vector<AxisId>
-parallelRegionAxes(const Chain &chain,
-                   const std::vector<analysis::AxisConcurrency> &kinds)
-{
-    std::vector<AxisId> axes;
-    auto collect = [&](ir::TensorKind kind) {
-        for (const ir::TensorDecl &tensor : chain.tensors()) {
-            if (tensor.kind != kind) {
-                continue;
-            }
-            for (AxisId a = 0; a < chain.numAxes(); ++a) {
-                const ir::Axis &axis =
-                    chain.axes()[static_cast<std::size_t>(a)];
-                if (!axis.reorderable || axis.extent <= 1 ||
-                    !tensor.usesAxis(a)) {
-                    continue;
-                }
-                if (kinds[static_cast<std::size_t>(a)] !=
-                    analysis::AxisConcurrency::Parallel) {
-                    continue;
-                }
-                if (std::find(axes.begin(), axes.end(), a) == axes.end()) {
-                    axes.push_back(a);
-                }
-            }
-        }
-    };
-    collect(ir::TensorKind::Intermediate);
-    if (axes.empty()) {
-        collect(ir::TensorKind::Output);
-    }
-    std::sort(axes.begin(), axes.end());
-    return axes;
 }
 
 /** Blocks of @p axis under @p tiles (>= 1). */
@@ -302,7 +234,20 @@ applyThreadChunking(const Chain &chain, ExecutionPlan &plan,
         static_cast<std::int64_t>(std::max(1, options.chunksPerWorker)) *
         target;
 
-    std::vector<AxisId> paxes = parallelRegionAxes(chain, plan.concurrency);
+    // The axes whose blocks the executors distribute across workers:
+    // the region axes the dependence analysis proved Parallel.
+    auto parallelAxes = [&chain, &plan] {
+        std::vector<AxisId> axes;
+        for (AxisId a = 0; a < chain.numAxes(); ++a) {
+            if (chain.isRegionAxis(a) &&
+                plan.concurrency[static_cast<std::size_t>(a)] ==
+                    analysis::AxisConcurrency::Parallel) {
+                axes.push_back(a);
+            }
+        }
+        return axes;
+    };
+    std::vector<AxisId> paxes = parallelAxes();
     std::vector<std::int64_t> grain(
         static_cast<std::size_t>(chain.numAxes()), 1);
     std::int64_t count = chunkCount(chain, plan.tiles, grain, paxes);
@@ -368,7 +313,7 @@ applyThreadChunking(const Chain &chain, ExecutionPlan &plan,
         plan.memUsageBytes = bestSol.memUsageBytes;
         plan.concurrency =
             analysis::analyzeConcurrency(chain, plan.tiles).kinds();
-        paxes = parallelRegionAxes(chain, plan.concurrency);
+        paxes = parallelAxes();
         count = bestCount;
     }
 

@@ -284,7 +284,11 @@ solver::TileConstraints searchConstraints(const ir::Chain &chain,
 std::string orderString(const ir::Chain &chain,
                         const std::vector<ir::AxisId> &perm);
 
-/** Parses "m,l,k,n" into a full permutation (pinned axes appended). */
+/**
+ * Parses "m,l,k,n" into a full permutation (pinned axes appended);
+ * throws on an unknown name or a repeated axis. Resolves names through
+ * the plan-document binder's order binding (plan_io.cpp).
+ */
 std::vector<ir::AxisId> permFromOrderString(const ir::Chain &chain,
                                             const std::string &order);
 

@@ -1,18 +1,10 @@
 #include "verify/concurrency_verifier.hpp"
 
-#include "support/error.hpp"
-
 namespace chimera::verify {
 
 using analysis::AxisConcurrency;
 
 namespace {
-
-std::string
-axisName(const ir::Chain &chain, ir::AxisId axis)
-{
-    return chain.axes()[static_cast<std::size_t>(axis)].name;
-}
 
 /** Permissiveness rank: parallel allows most, sequential least. */
 int
@@ -52,10 +44,10 @@ verifyConcurrency(const ir::Chain &chain,
         if (want == have.kind) {
             continue;
         }
-        const std::string location = "concurrency." + axisName(chain, a);
+        const std::string location = "concurrency." + chain.axisName(a);
         if (permissiveness(want) < permissiveness(have.kind)) {
             report.warning("DP04", location,
-                           "axis " + axisName(chain, a) +
+                           "axis " + chain.axisName(a) +
                                " is declared " +
                                analysis::concurrencyName(want) +
                                " but the analysis proves it " +
@@ -66,51 +58,25 @@ verifyConcurrency(const ir::Chain &chain,
         }
         if (want == AxisConcurrency::Parallel && have.epilogueInduced) {
             report.error("DP05", location,
-                         "axis " + axisName(chain, a) +
+                         "axis " + chain.axisName(a) +
                              " is declared parallel but the epilogue"
                              " couples blocks along it: " +
                              have.reason);
         } else if (want == AxisConcurrency::Parallel &&
                    have.kind == AxisConcurrency::Reduction) {
             report.error("DP02", location,
-                         "axis " + axisName(chain, a) +
+                         "axis " + chain.axisName(a) +
                              " is declared parallel but is a reduction"
                              " axis: " +
                              have.reason);
         } else {
             report.error("DP03", location,
-                         "axis " + axisName(chain, a) + " is declared " +
+                         "axis " + chain.axisName(a) + " is declared " +
                              analysis::concurrencyName(want) +
                              " but carries a block dependence: " +
                              have.reason);
         }
     }
-    return report;
-}
-
-Report
-verifyDocumentConcurrency(const ir::Chain &chain,
-                          const plan::ParsedPlanDoc &doc,
-                          const std::vector<std::int64_t> &tiles)
-{
-    Report report;
-    if (!doc.haveConcurrency) {
-        if (doc.version >= 2) {
-            report.note("DP06", "concurrency",
-                        "v2 document declares no concurrency table;"
-                        " the loader falls back to fresh dependence"
-                        " analysis");
-        }
-        return report;
-    }
-    std::vector<AxisConcurrency> declared;
-    try {
-        declared = plan::bindConcurrency(chain, doc.concurrency);
-    } catch (const Error &e) {
-        report.error("PL12", "concurrency", e.what());
-        return report;
-    }
-    report.merge(verifyConcurrency(chain, tiles, declared));
     return report;
 }
 

@@ -31,17 +31,18 @@
  *  - DP06  a v2 plan document carries no concurrency table, so the
  *          loader falls back to fresh analysis (note)
  *
- * PL12 (unknown axis / unknown kind / duplicate / incomplete coverage
- * in a document's concurrency line) is reported by
- * verifyDocumentConcurrency via plan::bindConcurrency and extends the
- * PL document-binding family.
+ * DP01-DP05 are verifyConcurrency's. DP06 and PL12 (unknown axis /
+ * unknown kind / duplicate / incomplete coverage in a document's
+ * concurrency line) are name-binding facts: plan::bindPlanDocument
+ * records them, and verify::verifyPlanDocument reports them. A bound
+ * document table always has the chain's arity, so DP01 is reachable
+ * only from a hand-assembled ExecutionPlan.
  */
 
 #include <cstdint>
 #include <vector>
 
 #include "analysis/dependence.hpp"
-#include "plan/plan_io.hpp"
 #include "verify/diagnostics.hpp"
 
 namespace chimera::verify {
@@ -55,16 +56,5 @@ namespace chimera::verify {
 Report verifyConcurrency(
     const ir::Chain &chain, const std::vector<std::int64_t> &tiles,
     const std::vector<analysis::AxisConcurrency> &declared);
-
-/**
- * Document-level entry: binds @p doc's concurrency line to @p chain
- * (PL12 on unknown axes/kinds, duplicates, or incomplete coverage),
- * then runs verifyConcurrency against @p tiles when the binding
- * succeeds. A v2 document without a concurrency line yields the DP06
- * note. @p tiles is the document's tile vector after binding.
- */
-Report verifyDocumentConcurrency(const ir::Chain &chain,
-                                 const plan::ParsedPlanDoc &doc,
-                                 const std::vector<std::int64_t> &tiles);
 
 } // namespace chimera::verify

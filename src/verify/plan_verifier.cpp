@@ -21,12 +21,6 @@ using ir::TensorKind;
 namespace {
 
 std::string
-axisName(const Chain &chain, AxisId axis)
-{
-    return chain.axes()[static_cast<std::size_t>(axis)].name;
-}
-
-std::string
 formatDouble(double v)
 {
     // Predictions are byte counts; print them integral when they are.
@@ -76,7 +70,7 @@ checkPermutation(const Chain &chain, const std::vector<AxisId> &perm,
         }
         if (++seen[static_cast<std::size_t>(axis)] == 2) {
             report.error("PL03", "order",
-                         "axis " + axisName(chain, axis) +
+                         "axis " + chain.axisName(axis) +
                              " appears more than once");
             ok = false;
         }
@@ -102,7 +96,7 @@ checkTiles(const Chain &chain, const std::vector<std::int64_t> &tiles,
         const std::int64_t extent =
             chain.axes()[static_cast<std::size_t>(a)].extent;
         if (tile < 1 || tile > extent) {
-            report.error("PL04", "tiles." + axisName(chain, a),
+            report.error("PL04", "tiles." + chain.axisName(a),
                          "tile " + std::to_string(tile) +
                              " is outside [1, " + std::to_string(extent) +
                              "]");
@@ -113,14 +107,20 @@ checkTiles(const Chain &chain, const std::vector<std::int64_t> &tiles,
 }
 
 /**
- * PL06/PL07/PL09 once the schedule is structurally valid. Returns the
- * re-derived movement so callers can compare declared predictions.
+ * PL03-PL07 and PL09. Returns the re-derived movement, so callers can
+ * compare declared predictions, when the order and tiles are
+ * structurally valid (no PL03/PL04/PL05); nullopt otherwise.
  */
-model::DataMovement
-checkLegality(const Chain &chain, const std::vector<AxisId> &perm,
+std::optional<model::DataMovement>
+checkSchedule(const Chain &chain, const std::vector<AxisId> &perm,
               const std::vector<std::int64_t> &tiles,
               const PlanVerifyOptions &options, Report &report)
 {
+    const bool permOk = checkPermutation(chain, perm, report);
+    const bool tilesOk = checkTiles(chain, tiles, report);
+    if (!permOk || !tilesOk) {
+        return std::nullopt;
+    }
     if (options.requireExecutableOrder &&
         !model::isExecutableOrder(chain, perm, tiles)) {
         report.error("PL06", "order",
@@ -206,15 +206,15 @@ checkChunking(const Chain &chain, int plannedThreads,
     for (AxisId a = 0; a < chain.numAxes(); ++a) {
         const std::int64_t g = grain[static_cast<std::size_t>(a)];
         if (g < 1) {
-            report.error("PL13", "grain." + axisName(chain, a),
+            report.error("PL13", "grain." + chain.axisName(a),
                          "grain " + std::to_string(g) + " must be >= 1");
         } else if (g > 1 &&
                    kinds[static_cast<std::size_t>(a)] !=
                        analysis::AxisConcurrency::Parallel) {
             report.error(
-                "PL13", "grain." + axisName(chain, a),
+                "PL13", "grain." + chain.axisName(a),
                 "grain " + std::to_string(g) + " on axis " +
-                    axisName(chain, a) +
+                    chain.axisName(a) +
                     " which is " +
                     analysis::concurrencyName(
                         kinds[static_cast<std::size_t>(a)]) +
@@ -271,6 +271,50 @@ checkDeclaredPredictions(const model::DataMovement &dm,
                          " B disagrees with the re-derived " +
                          std::to_string(dm.memUsageBytes) + " B");
     }
+}
+
+/**
+ * verifyExecutionPlan's checks, with PL08 limited to the predictions
+ * the plan declares (@p haveVolume / @p haveMem: a plan document may
+ * omit either line). Returns what checkSchedule returns.
+ */
+std::optional<model::DataMovement>
+checkExecutionPlan(const Chain &chain, const plan::ExecutionPlan &plan,
+                   const PlanVerifyOptions &options, bool haveVolume,
+                   bool haveMem, Report &report)
+{
+    const std::optional<model::DataMovement> dm =
+        checkSchedule(chain, plan.perm, plan.tiles, options, report);
+    if (!dm) {
+        return dm;
+    }
+    checkDeclaredPredictions(*dm, plan.predictedVolumeBytes, haveVolume,
+                             plan.memUsageBytes, haveMem, report);
+    // Plans without a table (hand-assembled, or documents without a
+    // concurrency line) get fresh analysis at execution time, so there
+    // is nothing to disagree with.
+    if (!plan.concurrency.empty()) {
+        report.merge(verifyConcurrency(chain, plan.tiles, plan.concurrency));
+    }
+    // PL13: chunking structure against the classes the executors will
+    // actually obey, then the per-worker LLC share.
+    checkChunking(chain, plan.plannedThreads, plan.parallelGrain,
+                  plan::effectiveConcurrency(chain, plan), report);
+    const int workers = plan.plannedThreads > 1 ? plan.plannedThreads
+                                                : options.plannedThreads;
+    checkPerWorkerShare(dm->memUsageBytes, workers, options.topology,
+                        report);
+    // PL14 + SB: a certified plan must survive digest recompute and an
+    // analyzer re-run (PlanCache lookups audit through here, so tampered
+    // certificates in cache entries are rejected on load).
+    if (plan.safety.certified) {
+        SafetyVerifyOptions so;
+        so.memCapacityBytes = options.memCapacityBytes;
+        so.topology = options.topology;
+        so.workers = workers;
+        report.merge(verifySafetyCertificate(chain, plan, so));
+    }
+    return dm;
 }
 
 } // namespace
@@ -394,11 +438,7 @@ verifyPlan(const Chain &chain, const std::vector<AxisId> &perm,
            const PlanVerifyOptions &options)
 {
     Report report;
-    const bool permOk = checkPermutation(chain, perm, report);
-    const bool tilesOk = checkTiles(chain, tiles, report);
-    if (permOk && tilesOk) {
-        checkLegality(chain, perm, tiles, options, report);
-    }
+    checkSchedule(chain, perm, tiles, options, report);
     return report;
 }
 
@@ -407,52 +447,24 @@ verifyExecutionPlan(const Chain &chain, const plan::ExecutionPlan &plan,
                     const PlanVerifyOptions &options)
 {
     Report report;
-    const bool permOk = checkPermutation(chain, plan.perm, report);
-    const bool tilesOk = checkTiles(chain, plan.tiles, report);
-    if (permOk && tilesOk) {
-        const model::DataMovement dm =
-            checkLegality(chain, plan.perm, plan.tiles, options, report);
-        checkDeclaredPredictions(dm, plan.predictedVolumeBytes, true,
-                                 plan.memUsageBytes, true, report);
-        // Plans without a table (hand-assembled) get fresh analysis at
-        // execution time, so there is nothing to disagree with.
-        if (!plan.concurrency.empty()) {
-            report.merge(
-                verifyConcurrency(chain, plan.tiles, plan.concurrency));
-        }
-        // PL13: chunking structure against the classes the executors
-        // will actually obey, then the per-worker LLC share.
-        const std::vector<analysis::AxisConcurrency> kinds =
-            static_cast<int>(plan.concurrency.size()) == chain.numAxes()
-                ? plan.concurrency
-                : analysis::analyzeConcurrency(chain, plan.tiles).kinds();
-        checkChunking(chain, plan.plannedThreads, plan.parallelGrain,
-                      kinds, report);
-        const int workers = plan.plannedThreads > 1
-                                ? plan.plannedThreads
-                                : options.plannedThreads;
-        checkPerWorkerShare(dm.memUsageBytes, workers, options.topology,
-                            report);
-        // PL14 + SB: a certified plan must survive digest recompute and
-        // an analyzer re-run (PlanCache lookups audit through here, so
-        // tampered certificates in cache entries are rejected on load).
-        if (plan.safety.certified) {
-            SafetyVerifyOptions so;
-            so.memCapacityBytes = options.memCapacityBytes;
-            so.topology = options.topology;
-            so.workers = workers;
-            report.merge(verifySafetyCertificate(chain, plan, so));
-        }
-    }
+    checkExecutionPlan(chain, plan, options, true, true, report);
     return report;
 }
 
 Report
-verifyPlanDocument(const Chain &chain, const plan::ParsedPlanDoc &doc,
+verifyPlanDocument(const Chain &chain, const std::string &text,
                    const std::string &expectedFingerprint,
-                   const PlanVerifyOptions &options)
+                   const PlanVerifyOptions &options,
+                   std::optional<plan::ExecutionPlan> *resolved)
 {
     Report report;
+    plan::ParsedPlanDoc doc;
+    try {
+        doc = plan::parsePlanDocument(text);
+    } catch (const Error &e) {
+        report.error("PL01", "document", e.what());
+        return report;
+    }
     if (!expectedFingerprint.empty() &&
         doc.fingerprint != expectedFingerprint) {
         report.error("PL10", "fingerprint",
@@ -461,153 +473,19 @@ verifyPlanDocument(const Chain &chain, const plan::ParsedPlanDoc &doc,
                          (doc.fingerprint.empty() ? std::string("none")
                                                   : doc.fingerprint));
     }
-    if (!doc.haveOrder) {
-        report.error("PL05", "order", "document has no order line");
+    plan::ExecutionPlan plan = plan::bindPlanDocument(chain, doc, report);
+    const bool bound = !report.hasErrors();
+    if (plan.perm.empty() || plan.tiles.empty()) {
+        return report; // no schedule to verify
     }
-    if (!doc.haveTiles) {
-        report.error("PL05", "tiles", "document has no tiles line");
-    }
-    if (!doc.haveOrder || !doc.haveTiles) {
-        return report;
-    }
-
-    // Bind the order: axis names -> ids, omitted axes appended innermost
-    // (the same reading permFromOrderString applies, but reported as
-    // findings instead of thrown).
-    auto findAxis = [&chain](const std::string &name) -> AxisId {
-        for (AxisId a = 0; a < chain.numAxes(); ++a) {
-            if (chain.axes()[static_cast<std::size_t>(a)].name == name) {
-                return a;
-            }
-        }
-        return -1;
-    };
-    std::vector<AxisId> perm;
-    bool bindable = true;
-    std::size_t start = 0;
-    while (start < doc.order.size()) {
-        std::size_t comma = doc.order.find(',', start);
-        if (comma == std::string::npos) {
-            comma = doc.order.size();
-        }
-        const std::string name = doc.order.substr(start, comma - start);
-        start = comma + 1;
-        const AxisId axis = findAxis(name);
-        if (axis < 0) {
-            report.error("PL02", "order",
-                         "unknown axis \"" + name + "\"");
-            bindable = false;
-            continue;
-        }
-        perm.push_back(axis);
-    }
-    for (AxisId a = 0; a < chain.numAxes(); ++a) {
-        if (std::find(perm.begin(), perm.end(), a) == perm.end()) {
-            perm.push_back(a);
-        }
-    }
-
-    // Bind the tiles; axes without an entry stay 0 and are reported by
-    // the range check as PL05.
-    std::vector<std::int64_t> tiles(
-        static_cast<std::size_t>(chain.numAxes()), 0);
-    std::vector<char> haveTile(static_cast<std::size_t>(chain.numAxes()),
-                               0);
-    for (const auto &[name, tile] : doc.tiles) {
-        const AxisId axis = findAxis(name);
-        if (axis < 0) {
-            report.error("PL02", "tiles",
-                         "unknown axis \"" + name + "\"");
-            bindable = false;
-            continue;
-        }
-        tiles[static_cast<std::size_t>(axis)] = tile;
-        haveTile[static_cast<std::size_t>(axis)] = 1;
-    }
-    for (AxisId a = 0; a < chain.numAxes(); ++a) {
-        if (haveTile[static_cast<std::size_t>(a)] == 0) {
-            report.error("PL05", "tiles." + axisName(chain, a),
-                         "no tile size for axis " + axisName(chain, a));
-            bindable = false;
-        }
-    }
-    if (!bindable) {
-        return report;
-    }
-
-    const bool permOk = checkPermutation(chain, perm, report);
-    const bool tilesOk = checkTiles(chain, tiles, report);
-    if (permOk && tilesOk) {
-        const model::DataMovement dm =
-            checkLegality(chain, perm, tiles, options, report);
-        checkDeclaredPredictions(dm, doc.declaredVolumeBytes,
-                                 doc.haveVolume, doc.declaredMemBytes,
-                                 doc.haveMem, report);
-        report.merge(verifyDocumentConcurrency(chain, doc, tiles));
-
-        // PL13: bind and audit the chunking lines. The parser enforces
-        // positivity; binding and parallel-only are checked here so
-        // chimera-check reports instead of throwing.
-        if (doc.haveGrain && !doc.haveThreads) {
-            report.error("PL13", "grain",
-                         "document has a grain line without a threads"
-                         " line");
-        }
-        std::vector<std::int64_t> grain;
-        if (doc.haveGrain) {
-            grain.assign(static_cast<std::size_t>(chain.numAxes()), 1);
-            for (const auto &[name, g] : doc.grain) {
-                const AxisId axis = findAxis(name);
-                if (axis < 0) {
-                    report.error("PL02", "grain",
-                                 "unknown axis \"" + name + "\"");
-                    continue;
-                }
-                grain[static_cast<std::size_t>(axis)] = g;
-            }
-        }
-        // Grains must target axes the *executors* treat as parallel:
-        // the document's own table when it binds, fresh analysis
-        // otherwise (mirrors plan::effectiveConcurrency).
-        std::vector<analysis::AxisConcurrency> kinds;
-        if (doc.haveConcurrency) {
-            try {
-                kinds = plan::bindConcurrency(chain, doc.concurrency);
-            } catch (const Error &) {
-                // already reported as PL12 by verifyDocumentConcurrency
-            }
-        }
-        if (static_cast<int>(kinds.size()) != chain.numAxes()) {
-            kinds = analysis::analyzeConcurrency(chain, tiles).kinds();
-        }
-        const int workers =
-            doc.haveThreads ? static_cast<int>(doc.threads) : 1;
-        checkChunking(chain, workers, grain, kinds, report);
-        checkPerWorkerShare(dm.memUsageBytes, workers, options.topology,
-                            report);
-
-        // PL14 + SB: bind the safety line (reported, not thrown) and
-        // validate the certificate against the bound schedule.
-        if (doc.haveSafety) {
-            plan::ExecutionPlan bound;
-            try {
-                bound.safety = plan::bindSafety(chain, doc.safety);
-            } catch (const Error &e) {
-                report.error("PL14", "safety", e.what());
-            }
-            if (bound.safety.certified) {
-                bound.perm = perm;
-                bound.tiles = tiles;
-                bound.concurrency = kinds;
-                bound.plannedThreads = workers;
-                bound.parallelGrain = grain;
-                SafetyVerifyOptions so;
-                so.memCapacityBytes = options.memCapacityBytes;
-                so.topology = options.topology;
-                so.workers = workers;
-                report.merge(verifySafetyCertificate(chain, bound, so));
-            }
-        }
+    const std::optional<model::DataMovement> dm = checkExecutionPlan(
+        chain, plan, options, doc.haveVolume, doc.haveMem, report);
+    if (resolved != nullptr && bound && dm) {
+        // What deserializePlan returns for this document.
+        plan.concurrency = plan::effectiveConcurrency(chain, plan);
+        plan.predictedVolumeBytes = dm->volumeBytes;
+        plan.memUsageBytes = dm->memUsageBytes;
+        *resolved = std::move(plan);
     }
     return report;
 }
@@ -652,7 +530,7 @@ verifyMultiLevelPlan(const Chain &chain,
                 report.error(
                     "PL11",
                     "level " + machine.levels[d].name + " / tiles." +
-                        axisName(chain, a),
+                        chain.axisName(a),
                     "inner tile " + std::to_string(inner) +
                         " does not nest inside the enclosing level's " +
                         std::to_string(outer));

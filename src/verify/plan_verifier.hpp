@@ -16,9 +16,10 @@
  * that walks the block grid and simulates one resident tile per tensor.
  *
  * Rules:
- *  - PL01  document syntax error (reported by chimera-check when the
- *          parser rejects a plan file outright)
- *  - PL02  order/tiles reference an axis name the chain does not have
+ *  - PL01  document syntax error (the parser rejects the document
+ *          outright)
+ *  - PL02  order/tiles/grain reference an axis name the chain does not
+ *          have
  *  - PL03  order is not a permutation of the chain's axes
  *  - PL04  tile size outside [1, extent]
  *  - PL05  plan incomplete: missing order, missing tile entries, or a
@@ -35,11 +36,11 @@
  *  - PL11  multi-level schedule defect: wrong level count or inner
  *          tiles not nested inside the enclosing level's tiles
  *  - PL12  document concurrency binding defect: unknown axis, unknown
- *          kind, duplicate entry, or incomplete axis coverage (see
- *          concurrency_verifier.hpp; the DP01-DP06 rules comparing a
- *          bound table against fresh dependence analysis live there
- *          and run as part of verifyExecutionPlan /
- *          verifyPlanDocument)
+ *          kind, duplicate entry, or incomplete axis coverage (recorded
+ *          by plan::bindPlanDocument; the DP01-DP05 rules comparing a
+ *          bound table against fresh dependence analysis live in
+ *          concurrency_verifier.hpp and run as part of
+ *          verifyExecutionPlan / verifyPlanDocument)
  *  - PL13  thread-aware chunking defect: plannedThreads < 1, a grain
  *          vector of the wrong arity or with non-positive entries, a
  *          grain > 1 on an axis the dependence analysis did not prove
@@ -141,15 +142,25 @@ Report verifyExecutionPlan(const ir::Chain &chain,
                            const PlanVerifyOptions &options);
 
 /**
- * Checks a parsed plan document against @p chain: name binding (PL02,
- * PL03, PL05), the core schedule checks, declared-prediction drift
- * (PL08) and the fingerprint when @p expectedFingerprint is non-empty
- * (PL10).
+ * Checks plan document @p text against @p chain in one pass: the
+ * syntax (PL01, and nothing else when it fails), the fingerprint when
+ * @p expectedFingerprint is non-empty (PL10), every name-binding defect
+ * plan::bindPlanDocument records (PL02, PL05, PL12-PL14, DP06), then —
+ * when the order and tiles bind — verifyExecutionPlan's checks on the
+ * bound plan, with PL08 limited to the prediction lines the document
+ * carries.
+ *
+ * @p resolved, when non-null, receives the plan plan::deserializePlan
+ * would return for the same arguments (concurrency filled in,
+ * predictions re-derived under @p options.model) exactly when that call
+ * would succeed: no PL10, no binding defect, and a valid permutation
+ * and tile vector. Otherwise it is left untouched.
  */
-Report verifyPlanDocument(const ir::Chain &chain,
-                          const plan::ParsedPlanDoc &doc,
-                          const std::string &expectedFingerprint,
-                          const PlanVerifyOptions &options);
+Report verifyPlanDocument(
+    const ir::Chain &chain, const std::string &text,
+    const std::string &expectedFingerprint,
+    const PlanVerifyOptions &options,
+    std::optional<plan::ExecutionPlan> *resolved = nullptr);
 
 /**
  * Checks every level of a multi-level schedule against its level's

@@ -83,16 +83,9 @@ verifySafetyCertificate(const ir::Chain &chain,
     }
 
     // The digest binds the certificate to this exact chain + schedule.
-    // The analyzer normalizes an empty grain vector to all-1 before
-    // hashing; mirror that here.
-    const std::vector<std::int64_t> grain =
-        plan.parallelGrain.empty()
-            ? std::vector<std::int64_t>(
-                  static_cast<std::size_t>(chain.numAxes()), 1)
-            : plan.parallelGrain;
     const std::string expected = analysis::safetyDigest(
         chain, plan.perm, plan.tiles, std::max(1, plan.plannedThreads),
-        grain, cert.domain);
+        plan.parallelGrain, cert.domain);
     if (expected != cert.digest) {
         report.error("PL14", "safety.digest",
                      "certificate digest " + cert.digest +

@@ -154,6 +154,29 @@ TEST(StaticSafety, CertificateSurvivesSerializationRoundTrip)
     EXPECT_EQ(loaded.safety.domain, plan.safety.domain);
 }
 
+TEST(StaticSafety, DigestReadsAnEmptyGrainAsAllOnes)
+{
+    // A serial plan carries no grain, while a document with a threads
+    // line binds an all-1 grain: both name one schedule, one digest.
+    const ir::Chain chain = chainUnderTest();
+    const plan::ExecutionPlan plan =
+        plan::planChain(chain, optionsUnderTest());
+    ASSERT_TRUE(plan.safety.certified);
+    ASSERT_TRUE(plan.parallelGrain.empty());
+    const std::vector<std::int64_t> ones(
+        static_cast<std::size_t>(chain.numAxes()), 1);
+    const std::string digest = analysis::safetyDigest(
+        chain, plan.perm, plan.tiles, 1, {}, plan.safety.domain);
+    EXPECT_EQ(digest, analysis::safetyDigest(chain, plan.perm, plan.tiles,
+                                             1, ones, plan.safety.domain));
+    EXPECT_EQ(digest, plan.safety.digest);
+
+    const verify::Report report = verify::verifyPlanDocument(
+        chain, plan::serializePlan(chain, plan) + "threads: 1\n", "",
+        verify::planVerifyOptions(optionsUnderTest()));
+    EXPECT_FALSE(report.hasErrors()) << report.render();
+}
+
 TEST(StaticSafety, UncertifiedPlanSerializesWithoutSafetyLine)
 {
     const ir::Chain chain = chainUnderTest();
@@ -185,10 +208,9 @@ TEST(StaticSafety, TamperedDocumentIsPL14ViaDocumentVerifier)
     ASSERT_NE(pos, std::string::npos);
     text.replace(pos + 7, 16, "ffffffffffffffff");
 
-    const plan::ParsedPlanDoc doc = plan::parsePlanDocument(text);
-    ASSERT_TRUE(doc.haveSafety);
+    ASSERT_TRUE(plan::parsePlanDocument(text).haveSafety);
     const verify::Report report = verify::verifyPlanDocument(
-        chain, doc, "", verify::planVerifyOptions(optionsUnderTest()));
+        chain, text, "", verify::planVerifyOptions(optionsUnderTest()));
     EXPECT_TRUE(report.hasRule("PL14")) << report.render();
 }
 

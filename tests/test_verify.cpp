@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -385,14 +386,13 @@ TEST(PlanVerifier, FlagsTamperedDocument)
     const std::size_t eol = text.find('\n', pos);
     text.replace(pos, eol - pos, "volume-bytes: 7");
 
-    const plan::ParsedPlanDoc doc = plan::parsePlanDocument(text);
     PlanVerifyOptions vo = planVerifyOptions(po);
-    Report report = verifyPlanDocument(chain, doc, "aaaabbbbccccdddd", vo);
+    Report report = verifyPlanDocument(chain, text, "aaaabbbbccccdddd", vo);
     EXPECT_TRUE(report.hasRule("PL08")) << report.render();
     EXPECT_FALSE(report.hasRule("PL10")) << report.render();
 
     // A fingerprint that does not match the expected key.
-    report = verifyPlanDocument(chain, doc, "ffffffffffffffff", vo);
+    report = verifyPlanDocument(chain, text, "ffffffffffffffff", vo);
     EXPECT_TRUE(report.hasRule("PL10")) << report.render();
 }
 
@@ -470,10 +470,285 @@ TEST(PlanVerifier, FlagsGrainWithoutThreadsDocument)
     const plan::ExecutionPlan plan = plan::planChain(chain, po);
     const std::string text =
         plan::serializePlan(chain, plan) + "grain: m=2\n";
-    const plan::ParsedPlanDoc doc = plan::parsePlanDocument(text);
     const Report report =
-        verifyPlanDocument(chain, doc, "", planVerifyOptions(po));
+        verifyPlanDocument(chain, text, "", planVerifyOptions(po));
     EXPECT_TRUE(report.hasRule("PL13")) << report.render();
+}
+
+/**
+ * A hand-written v2 document for gemmChainUnderTest() (b=4 m=64 n=32
+ * k=16 l=48): @p order and @p tiles lines (omitted when empty), then
+ * @p extra lines verbatim.
+ */
+std::string
+seededDocument(const std::string &extra,
+               const std::string &order = "order: b,m,l,k,n\n",
+               const std::string &tiles = "tiles: b=1 m=16 n=16 k=16 l=16\n")
+{
+    return "chimera-plan v2\nchain: verify-test\n" + order + tiles + extra;
+}
+
+/** The analysis-correct concurrency line for gemmChainUnderTest(). */
+const char *const kSoundConcurrency =
+    "concurrency: b=parallel m=parallel n=parallel k=reduction"
+    " l=reduction\n";
+
+/** Number of findings of @p rule at @p location in @p report. */
+int
+countAt(const Report &report, const std::string &rule,
+        const std::string &location)
+{
+    int count = 0;
+    for (const Finding &finding : report.findings()) {
+        count += finding.ruleId == rule && finding.location == location;
+    }
+    return count;
+}
+
+TEST(PlanDocumentBinding, SeededBaseDocumentIsClean)
+{
+    const ir::Chain chain = gemmChainUnderTest();
+    const Report report = verifyPlanDocument(
+        chain, seededDocument(kSoundConcurrency), "", PlanVerifyOptions{});
+    EXPECT_TRUE(report.empty()) << report.render();
+}
+
+TEST(PlanDocumentBinding, PL02UnknownAxisInOrderTilesOrGrain)
+{
+    const ir::Chain chain = gemmChainUnderTest();
+    const PlanVerifyOptions vo;
+    Report report = verifyPlanDocument(
+        chain, seededDocument(kSoundConcurrency, "order: b,m,zz,k,n\n"), "",
+        vo);
+    EXPECT_EQ(countAt(report, "PL02", "order"), 1) << report.render();
+
+    report = verifyPlanDocument(
+        chain,
+        seededDocument(kSoundConcurrency, "order: b,m,l,k,n\n",
+                       "tiles: b=1 m=16 n=16 k=16 l=16 q=4\n"),
+        "", vo);
+    EXPECT_EQ(countAt(report, "PL02", "tiles"), 1) << report.render();
+
+    report = verifyPlanDocument(
+        chain,
+        seededDocument(std::string(kSoundConcurrency) +
+                       "threads: 2\ngrain: zz=2\n"),
+        "", vo);
+    EXPECT_EQ(countAt(report, "PL02", "grain"), 1) << report.render();
+}
+
+TEST(PlanDocumentBinding, PL05MissingOrderTilesOrTile)
+{
+    const ir::Chain chain = gemmChainUnderTest();
+    const PlanVerifyOptions vo;
+    Report report = verifyPlanDocument(
+        chain, seededDocument(kSoundConcurrency, ""), "", vo);
+    EXPECT_EQ(countAt(report, "PL05", "order"), 1) << report.render();
+
+    report = verifyPlanDocument(
+        chain, seededDocument(kSoundConcurrency, "order: b,m,l,k,n\n", ""),
+        "", vo);
+    EXPECT_EQ(countAt(report, "PL05", "tiles"), 1) << report.render();
+
+    report = verifyPlanDocument(
+        chain,
+        seededDocument(kSoundConcurrency, "order: b,m,l,k,n\n",
+                       "tiles: b=1 m=16 n=16 k=16\n"),
+        "", vo);
+    EXPECT_EQ(countAt(report, "PL05", "tiles.l"), 1) << report.render();
+    EXPECT_FALSE(report.hasRule("PL04")) << report.render();
+}
+
+TEST(PlanDocumentBinding, PL12ConcurrencyLineDefects)
+{
+    const ir::Chain chain = gemmChainUnderTest();
+    for (const char *line :
+         {"concurrency: b=parallel m=bogus n=parallel k=reduction"
+          " l=reduction\n",
+          "concurrency: b=parallel m=parallel n=parallel k=reduction\n",
+          "concurrency: b=parallel m=parallel n=parallel k=reduction"
+          " l=reduction q=parallel\n"}) {
+        const Report report = verifyPlanDocument(
+            chain, seededDocument(line), "", PlanVerifyOptions{});
+        EXPECT_EQ(countAt(report, "PL12", "concurrency"), 1)
+            << line << report.render();
+    }
+}
+
+TEST(PlanDocumentBinding, PL13GrainWithoutThreads)
+{
+    const ir::Chain chain = gemmChainUnderTest();
+    const Report report = verifyPlanDocument(
+        chain, seededDocument(std::string(kSoundConcurrency) + "grain: m=2\n"),
+        "", PlanVerifyOptions{});
+    EXPECT_EQ(countAt(report, "PL13", "grain"), 1) << report.render();
+}
+
+TEST(PlanDocumentBinding, PL14MalformedSafetyLine)
+{
+    const ir::Chain chain = gemmChainUnderTest();
+    for (const char *line : {"safety: domain=concrete digest=xyz\n",
+                             "safety: domain=concrete\n",
+                             "safety: domain=q:1..4 digest=0123456789abcdef\n",
+                             "safety: domain=concrete digest=0123456789abcdef"
+                             " rules=sb01\n"}) {
+        const Report report = verifyPlanDocument(
+            chain, seededDocument(std::string(kSoundConcurrency) + line), "",
+            PlanVerifyOptions{});
+        EXPECT_EQ(countAt(report, "PL14", "safety"), 1)
+            << line << report.render();
+    }
+}
+
+TEST(PlanDocumentBinding, DP02ParallelReductionAxis)
+{
+    const ir::Chain chain = gemmChainUnderTest();
+    const Report report = verifyPlanDocument(
+        chain,
+        seededDocument("concurrency: b=parallel m=parallel n=parallel"
+                       " k=reduction l=parallel\n"),
+        "", PlanVerifyOptions{});
+    EXPECT_EQ(countAt(report, "DP02", "concurrency.l"), 1)
+        << report.render();
+}
+
+TEST(PlanDocumentBinding, DP04OverSerializedAxisIsAWarning)
+{
+    const ir::Chain chain = gemmChainUnderTest();
+    const Report report = verifyPlanDocument(
+        chain,
+        seededDocument("concurrency: b=parallel m=reduction n=parallel"
+                       " k=reduction l=reduction\n"),
+        "", PlanVerifyOptions{});
+    EXPECT_EQ(countAt(report, "DP04", "concurrency.m"), 1)
+        << report.render();
+    EXPECT_FALSE(report.hasErrors()) << report.render();
+}
+
+TEST(PlanDocumentBinding, DP05EpilogueCoupledAxisDeclaredParallel)
+{
+    ir::GemmChainConfig cfg;
+    cfg.batch = 4;
+    cfg.m = 64;
+    cfg.n = 32;
+    cfg.k = 16;
+    cfg.l = 48;
+    cfg.name = "verify-test";
+    cfg.epilogue = ir::Epilogue::Softmax;
+    const ir::Chain chain = ir::makeGemmChain(cfg);
+    const Report report = verifyPlanDocument(
+        chain,
+        seededDocument("concurrency: b=parallel m=parallel n=parallel"
+                       " k=reduction l=parallel\n"),
+        "", PlanVerifyOptions{});
+    EXPECT_EQ(countAt(report, "DP05", "concurrency.l"), 1)
+        << report.render();
+    EXPECT_FALSE(report.hasRule("DP02")) << report.render();
+}
+
+TEST(PlanDocumentBinding, DP06NoteOnlyForV2WithoutConcurrency)
+{
+    const ir::Chain chain = gemmChainUnderTest();
+    const std::string v2 = seededDocument("");
+    Report report = verifyPlanDocument(chain, v2, "", PlanVerifyOptions{});
+    EXPECT_EQ(countAt(report, "DP06", "concurrency"), 1) << report.render();
+    EXPECT_FALSE(report.hasErrors()) << report.render();
+
+    std::string v1 = v2;
+    v1.replace(v1.find("v2"), 2, "v1");
+    report = verifyPlanDocument(chain, v1, "", PlanVerifyOptions{});
+    EXPECT_TRUE(report.empty()) << report.render();
+}
+
+TEST(PlanDocumentBinding, DP01OnlyFromHandAssembledTables)
+{
+    // A document's table binds at the chain's arity or not at all
+    // (PL12), so DP01 is reachable only from an assembled plan.
+    const ir::Chain chain = gemmChainUnderTest();
+    plan::ExecutionPlan plan =
+        plan::deserializePlan(chain, seededDocument(kSoundConcurrency));
+    plan.concurrency.pop_back();
+    const Report report =
+        verifyExecutionPlan(chain, plan, PlanVerifyOptions{});
+    EXPECT_EQ(countAt(report, "DP01", "concurrency"), 1) << report.render();
+}
+
+TEST(PlanDocumentBinding, ReportsEveryBindingDefectUnderItsOwnRule)
+{
+    const ir::Chain chain = gemmChainUnderTest();
+    const std::string text = seededDocument(
+        "concurrency: b=parallel m=bogus n=parallel k=reduction"
+        " l=reduction\n"
+        "threads: 2\n"
+        "grain: zz=2\n"
+        "safety: domain=concrete digest=xyz\n",
+        "order: b,m,qq,k,n\n");
+    const Report report =
+        verifyPlanDocument(chain, text, "", PlanVerifyOptions{});
+    EXPECT_EQ(countAt(report, "PL02", "order"), 1) << report.render();
+    EXPECT_EQ(countAt(report, "PL12", "concurrency"), 1) << report.render();
+    EXPECT_EQ(countAt(report, "PL02", "grain"), 1) << report.render();
+    EXPECT_EQ(countAt(report, "PL14", "safety"), 1) << report.render();
+    EXPECT_EQ(report.errorCount(), 4) << report.render();
+
+    // deserializePlan binds through the same binder and refuses with
+    // the first defect.
+    try {
+        (void)plan::deserializePlan(chain, text);
+        ADD_FAILURE() << "deserializePlan accepted a defective document";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find("qq"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(PlanDocumentBinding, ResolvesExactlyWhatDeserializePlanReturns)
+{
+    const ir::Chain chain = gemmChainUnderTest();
+    plan::PlannerOptions po;
+    po.memCapacityBytes = 32.0 * 1024;
+    po.execThreads = 4;
+    const plan::ExecutionPlan planned = plan::planChain(chain, po);
+    const std::string text = plan::serializePlan(chain, planned, "aaaabbbbccccdddd");
+
+    std::optional<plan::ExecutionPlan> resolved;
+    Report report = verifyPlanDocument(chain, text, "aaaabbbbccccdddd",
+                                       planVerifyOptions(po), &resolved);
+    EXPECT_FALSE(report.hasErrors()) << report.render();
+    ASSERT_TRUE(resolved.has_value());
+    const plan::ExecutionPlan loaded =
+        plan::deserializePlan(chain, text, "aaaabbbbccccdddd");
+    EXPECT_EQ(plan::serializePlan(chain, *resolved),
+              plan::serializePlan(chain, loaded));
+    EXPECT_EQ(resolved->concurrency, loaded.concurrency);
+
+    // Whatever deserializePlan refuses resolves to nothing: a wrong
+    // fingerprint, a binding defect, an out-of-range tile.
+    for (const auto &[doc, fingerprint] :
+         std::vector<std::pair<std::string, std::string>>{
+             {text, "ffffffffffffffff"},
+             {seededDocument("concurrency: b=parallel\n"), ""},
+             {seededDocument("", "order: b,m,l,k,n\n",
+                             "tiles: b=1 m=0 n=16 k=16 l=16\n"),
+              ""}}) {
+        std::optional<plan::ExecutionPlan> none;
+        report = verifyPlanDocument(chain, doc, fingerprint,
+                                    PlanVerifyOptions{}, &none);
+        EXPECT_TRUE(report.hasErrors()) << doc;
+        EXPECT_FALSE(none.has_value()) << doc;
+        EXPECT_THROW(plan::deserializePlan(chain, doc, fingerprint), Error)
+            << doc;
+    }
+
+    // A mis-declared table still resolves (the race scan needs it).
+    std::optional<plan::ExecutionPlan> racy;
+    report = verifyPlanDocument(
+        chain,
+        seededDocument("concurrency: b=parallel m=parallel n=parallel"
+                       " k=reduction l=parallel\n"),
+        "", PlanVerifyOptions{}, &racy);
+    EXPECT_TRUE(report.hasRule("DP02")) << report.render();
+    EXPECT_TRUE(racy.has_value());
 }
 
 TEST(PlanVerifier, FlagsBrokenMultiLevelNesting)

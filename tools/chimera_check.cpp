@@ -20,6 +20,13 @@
  * racing for real. This is the dynamic complement of the static DP
  * rules: DP02 says the declared table disagrees with the analysis,
  * RC01 says the disagreement produces conflicting writers in practice.
+ * RC01 is reported only for observed conflicts.
+ *
+ * --static and --race run on one resolved plan: the --plan document,
+ * read and bound once by verify::verifyPlanDocument (it resolves
+ * exactly when plan::deserializePlan would accept it, mis-declared
+ * concurrency tables included), else the planner's winner. Without
+ * one, each prints "skipped (no resolvable plan)".
  *
  * With --search the tool replays the planner's pruned order search
  * against exhaustive enumeration (rules OE01-OE03,
@@ -70,6 +77,7 @@
 #include <cstdlib>
 #include <cmath>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -82,7 +90,6 @@
 #include "ir/builders.hpp"
 #include "ir/dsl.hpp"
 #include "kernels/kernel_params.hpp"
-#include "plan/plan_io.hpp"
 #include "plan/planner.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -219,47 +226,12 @@ verifyOptions(const CliOptions &options)
     return vo;
 }
 
-/**
- * Audits the --plan document (or PL01 when it does not even parse).
- * An *unreadable* file is an IO failure, not a rule violation: it
- * throws, and main turns that into exit status 2. @p resolved, when
- * non-null, receives the deserialized plan if the document binds — the
- * --static pass runs on it.
- */
-verify::Report
-checkPlanFile(const ir::Chain &chain, const CliOptions &options,
-              std::optional<plan::ExecutionPlan> *resolved)
-{
-    verify::Report report;
-    const std::optional<std::string> text = readFile(options.planFile);
-    if (!text) {
-        throw Error("cannot read plan file " + options.planFile);
-    }
-    try {
-        const plan::ParsedPlanDoc doc = plan::parsePlanDocument(*text);
-        report.merge(verify::verifyPlanDocument(
-            chain, doc, options.fingerprint, verifyOptions(options)));
-    } catch (const Error &e) {
-        report.error("PL01", options.planFile, e.what());
-    }
-    if (resolved != nullptr) {
-        try {
-            *resolved =
-                plan::deserializePlan(chain, *text, options.fingerprint);
-        } catch (const Error &) {
-            // Document does not even bind to the chain; the findings
-            // above already say why, and --static has nothing to run on.
-        }
-    }
-    return report;
-}
-
 /** Plans the chain fresh and audits the winner. */
 verify::Report
 checkFreshPlan(const ir::Chain &chain,
                const solver::TileConstraints &constraints,
                const CliOptions &options,
-               std::optional<plan::ExecutionPlan> *resolved)
+               std::optional<plan::ExecutionPlan> &resolved)
 {
     verify::Report report;
     plan::PlannerOptions po;
@@ -274,9 +246,7 @@ checkFreshPlan(const ir::Chain &chain,
                     plan.candidatesExamined);
         report.merge(verify::verifyExecutionPlan(chain, plan,
                                                  verifyOptions(options)));
-        if (resolved != nullptr) {
-            *resolved = plan;
-        }
+        resolved = plan;
     } catch (const plan::InfeasiblePlanError &) {
         throw; // an input error (chain or --capacity), exit 2 via main
     } catch (const Error &e) {
@@ -373,42 +343,32 @@ runSearchReplay(const ir::Chain &chain,
     report.merge(replay.report);
 }
 
-/** Reports checker conflicts as RC01 (or prints the clean summary). */
-void
-reportRaceFindings(const analysis::RaceChecker &checker,
-                   verify::Report &report)
+/**
+ * One --race scan: fills @p inputs with seeded data, runs @p execute
+ * serially (detection is keyed on the block-task index) under a
+ * RaceChecker armed over @p output, and reports its conflicts as RC01 —
+ * the only place that rule is reported — or prints the clean summary.
+ */
+verify::Report
+scanForRaces(std::initializer_list<Tensor *> inputs, const Tensor &output,
+             const std::function<void(const exec::ExecOptions &)> &execute)
 {
+    Rng rng(42);
+    for (Tensor *input : inputs) {
+        fillUniform(*input, rng);
+    }
+    analysis::RaceChecker checker(output.numel());
+    exec::ExecOptions eo;
+    eo.threads = 1;
+    eo.raceCheck = &checker;
+    execute(eo);
+    verify::Report report;
     if (checker.hasConflicts()) {
         report.error("RC01", "race", checker.report());
     } else {
         std::printf("race:  no conflicting writers observed\n");
     }
-}
-
-/**
- * The plan the dynamic race scan should execute: the --plan document
- * when given (deliberately loaded through deserializePlan, which keeps
- * a mis-declared concurrency table so the scan can observe it), else a
- * fresh planner run. Throws on unreadable/unbindable documents.
- */
-plan::ExecutionPlan
-planForRaceScan(const ir::Chain &chain,
-                const solver::TileConstraints &constraints,
-                const CliOptions &options)
-{
-    if (!options.planFile.empty()) {
-        const std::optional<std::string> text = readFile(options.planFile);
-        if (!text) {
-            throw Error("cannot read plan file " + options.planFile);
-        }
-        return plan::deserializePlan(chain, *text, options.fingerprint);
-    }
-    plan::PlannerOptions po;
-    po.memCapacityBytes = options.capacityBytes;
-    po.constraints = constraints;
-    po.threads = options.threads;
-    po.verify = false;
-    return plan::planChain(chain, po);
+    return report;
 }
 
 int
@@ -432,12 +392,18 @@ run(const ir::Chain &chain, const solver::TileConstraints &constraints,
     if (chainBroken) {
         std::printf("chain IR is ill-formed; skipping plan checks\n");
     } else if (!options.planFile.empty()) {
-        report.merge(checkPlanFile(chain, options,
-                                   options.staticSafety ? &resolved
-                                                        : nullptr));
+        // An unreadable file is an IO failure, not a rule violation:
+        // exit 2 through main's catch.
+        const std::optional<std::string> text = readFile(options.planFile);
+        if (!text) {
+            throw Error("cannot read plan file " + options.planFile);
+        }
+        report.merge(verify::verifyPlanDocument(chain, *text,
+                                                options.fingerprint,
+                                                verifyOptions(options),
+                                                &resolved));
     } else {
-        report.merge(
-            checkFreshPlan(chain, constraints, options, &resolved));
+        report.merge(checkFreshPlan(chain, constraints, options, resolved));
     }
 
     if (options.staticSafety && !chainBroken) {
@@ -452,15 +418,13 @@ run(const ir::Chain &chain, const solver::TileConstraints &constraints,
         runSearchReplay(chain, constraints, options, report);
     }
 
+    // A scan that throws on a resolved plan is an environment failure,
+    // not a race: it exits 2 through main's catch.
     if (options.race && !chainBroken) {
-        try {
-            report.merge(raceScan(planForRaceScan(chain, constraints,
-                                                  options)));
-        } catch (const Error &e) {
-            report.error("RC01", "race",
-                         std::string("race scan could not execute the"
-                                     " plan: ") +
-                             e.what());
+        if (resolved) {
+            report.merge(raceScan(*resolved));
+        } else {
+            std::printf("race:  skipped (no resolvable plan)\n");
         }
     }
 
@@ -518,24 +482,16 @@ main(int argc, char **argv)
             const ir::Chain chain = ir::makeGemmChain(cfg);
             const RaceScan scan =
                 [&cfg](const plan::ExecutionPlan &plan) {
-                    verify::Report report;
                     Tensor a(exec::gemmChainShapeA(cfg));
                     Tensor b(exec::gemmChainShapeB(cfg));
                     Tensor d(exec::gemmChainShapeD(cfg));
                     Tensor e(exec::gemmChainShapeE(cfg));
-                    Rng rng(42);
-                    fillUniform(a, rng);
-                    fillUniform(b, rng);
-                    fillUniform(d, rng);
-                    analysis::RaceChecker checker(e.numel());
-                    exec::ExecOptions eo;
-                    eo.threads = 1; // task-keyed detection: run serially
-                    eo.raceCheck = &checker;
-                    exec::runFusedGemmChain(
-                        cfg, plan, exec::ComputeEngine::best(), a, b, d,
-                        e, eo);
-                    reportRaceFindings(checker, report);
-                    return report;
+                    return scanForRaces(
+                        {&a, &b, &d}, e, [&](const exec::ExecOptions &eo) {
+                            exec::runFusedGemmChain(
+                                cfg, plan, exec::ComputeEngine::best(), a,
+                                b, d, e, eo);
+                        });
                 };
             return run(chain, exec::cpuChainConstraints(chain, kernel),
                        options, scan);
@@ -558,26 +514,18 @@ main(int argc, char **argv)
             const ir::Chain chain = ir::makeGemmChain3(cfg);
             const RaceScan scan =
                 [&cfg](const plan::ExecutionPlan &plan) {
-                    verify::Report report;
                     Tensor a(exec::gemmChain3ShapeA(cfg));
                     Tensor b(exec::gemmChain3ShapeB(cfg));
                     Tensor d(exec::gemmChain3ShapeD(cfg));
                     Tensor f(exec::gemmChain3ShapeF(cfg));
                     Tensor e(exec::gemmChain3ShapeE(cfg));
-                    Rng rng(42);
-                    fillUniform(a, rng);
-                    fillUniform(b, rng);
-                    fillUniform(d, rng);
-                    fillUniform(f, rng);
-                    analysis::RaceChecker checker(e.numel());
-                    exec::ExecOptions eo;
-                    eo.threads = 1; // task-keyed detection: run serially
-                    eo.raceCheck = &checker;
-                    exec::runFusedGemmChain3(
-                        cfg, plan, exec::ComputeEngine::best(), a, b, d,
-                        f, e, eo);
-                    reportRaceFindings(checker, report);
-                    return report;
+                    return scanForRaces(
+                        {&a, &b, &d, &f}, e,
+                        [&](const exec::ExecOptions &eo) {
+                            exec::runFusedGemmChain3(
+                                cfg, plan, exec::ComputeEngine::best(), a,
+                                b, d, f, e, eo);
+                        });
                 };
             return run(chain, exec::gemmChain3Constraints(chain, kernel),
                        options, scan);
@@ -600,24 +548,17 @@ main(int argc, char **argv)
             const ir::Chain chain = ir::makeConvChain(cfg);
             const RaceScan scan =
                 [&cfg](const plan::ExecutionPlan &plan) {
-                    verify::Report report;
                     Tensor input(exec::convChainShapeI(cfg));
                     Tensor w1(exec::convChainShapeW1(cfg));
                     Tensor w2(exec::convChainShapeW2(cfg));
                     Tensor output(exec::convChainShapeO(cfg));
-                    Rng rng(42);
-                    fillUniform(input, rng);
-                    fillUniform(w1, rng);
-                    fillUniform(w2, rng);
-                    analysis::RaceChecker checker(output.numel());
-                    exec::ExecOptions eo;
-                    eo.threads = 1; // task-keyed detection: run serially
-                    eo.raceCheck = &checker;
-                    exec::runFusedConvChain(cfg, plan,
-                                            exec::ComputeEngine::best(),
-                                            input, w1, w2, output, eo);
-                    reportRaceFindings(checker, report);
-                    return report;
+                    return scanForRaces(
+                        {&input, &w1, &w2}, output,
+                        [&](const exec::ExecOptions &eo) {
+                            exec::runFusedConvChain(
+                                cfg, plan, exec::ComputeEngine::best(),
+                                input, w1, w2, output, eo);
+                        });
                 };
             return run(chain, exec::cpuChainConstraints(chain, kernel),
                        options, scan);
