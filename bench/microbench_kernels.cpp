@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the building blocks: registered
- * micro kernels, block matmul across shapes, packing routines, the
- * softmax row kernel, the Algorithm-1 evaluation, and full chain
+ * micro kernels, block matmul across shapes, packing routines (A/B
+ * panels, the im2col panel gather), the softmax row kernel, the Algorithm-1 evaluation, and full chain
  * planning.
  */
 
@@ -16,6 +16,7 @@
 #include "exec/gemm_chain_exec.hpp"
 #include "ir/workloads.hpp"
 #include "kernels/block_matmul.hpp"
+#include "kernels/im2col.hpp"
 #include "kernels/mma_tile.hpp"
 #include "kernels/npu_mad.hpp"
 #include "kernels/softmax_row.hpp"
@@ -144,6 +145,105 @@ BM_PackB(benchmark::State &state)
 }
 BENCHMARK(BM_PackB);
 
+/**
+ * One A panel of @p mr rows x @p kc steps from a 512-wide row-major
+ * source, through the scalar spec or the dispatching packAPanel (the
+ * compiled tier's register transpose where it has one).
+ */
+void
+BM_PackAPanel(benchmark::State &state, bool scalar, int mr, std::int64_t kc)
+{
+    constexpr std::int64_t kLda = 512;
+    std::vector<float> src(static_cast<std::size_t>(mr * kLda), 1.0f);
+    std::vector<float> dst(static_cast<std::size_t>(kc * mr));
+    for (auto _ : state) {
+        if (scalar) {
+            kernels::scalarPackAPanel(src.data(), kLda, mr, kc, mr,
+                                      dst.data());
+        } else {
+            kernels::packAPanel(src.data(), kLda, mr, kc, mr, dst.data());
+        }
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * kc * mr * 4);
+}
+
+void
+RegisterPackAPanels()
+{
+    // The register transpose is compiled on AVX2 and wider builds; on a
+    // scalar build packAPanel is the spec and is measured once.
+    std::vector<std::pair<std::string, bool>> tiers = {{"scalar", true}};
+#if defined(__AVX2__)
+    tiers.emplace_back("avx2", false);
+#endif
+    for (const auto &[tier, scalar] : tiers) {
+        for (const int mr : {6, 12}) {
+            for (const std::int64_t kc : {64, 256}) {
+                benchmark::RegisterBenchmark(
+                    ("BM_PackAPanel/" + tier + "/mr" + std::to_string(mr) +
+                     "/kc" + std::to_string(kc))
+                        .c_str(),
+                    [scalar = scalar, mr, kc](benchmark::State &state) {
+                        BM_PackAPanel(state, scalar, mr, kc);
+                    });
+            }
+        }
+    }
+}
+
+/**
+ * The conv executors' B operand for one output row of a 3x3, pad-1 conv
+ * over [64, 56, 56]: the im2col patch gathered straight into the host
+ * kernel's panels (gather:1), or gathered strided and then packed panel
+ * by panel (gather:0, the two-copy path it replaced).
+ */
+void
+BM_PatchPanels(benchmark::State &state)
+{
+    const int stride = static_cast<int>(state.range(0));
+    const bool gather = state.range(1) != 0;
+    constexpr std::int64_t kChans = 64, kH = 56, kW = 56;
+    constexpr int kKernel = 3, kPad = 1;
+    const int nr = kernels::MicroKernelRegistry::instance()
+                       .select(detectSimdTier())
+                       .nr;
+    const std::int64_t cols = (kW + 2 * kPad - kKernel) / stride + 1;
+    const std::int64_t depth = kChans * kKernel * kKernel;
+    const std::int64_t panels = (cols + nr - 1) / nr;
+    std::vector<float> src(static_cast<std::size_t>(kChans * kH * kW), 1.0f);
+    std::vector<float> patch(static_cast<std::size_t>(depth * cols));
+    std::vector<float> dst(static_cast<std::size_t>(panels * depth * nr));
+    for (auto _ : state) {
+        if (gather) {
+            kernels::packPatchPanels(src.data(), kH * kW, kH, kW, 0, kChans,
+                                     7, 0, cols, kKernel, stride, kPad, nr,
+                                     dst.data());
+        } else {
+            kernels::packPatchRow(src.data(), kH * kW, kH, kW, 0, kChans, 7,
+                                  0, cols, kKernel, stride, kPad,
+                                  patch.data());
+            for (std::int64_t p = 0; p < panels; ++p) {
+                kernels::packBPanel(
+                    patch.data() + p * nr, cols, depth,
+                    static_cast<int>(std::min<std::int64_t>(nr,
+                                                            cols - p * nr)),
+                    nr, dst.data() + p * depth * nr);
+            }
+        }
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * depth * cols * 4);
+}
+BENCHMARK(BM_PatchPanels)
+    ->ArgNames({"stride", "gather"})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({2, 0})
+    ->Args({2, 1});
+
 void
 BM_Algorithm1(benchmark::State &state)
 {
@@ -228,6 +328,7 @@ main(int argc, char **argv)
 {
     chimera::RegisterMicroKernels();
     chimera::RegisterSoftmaxRows();
+    chimera::RegisterPackAPanels();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

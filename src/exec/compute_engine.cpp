@@ -6,6 +6,7 @@
 
 #include "kernels/mma_tile.hpp"
 #include "kernels/npu_mad.hpp"
+#include "support/error.hpp"
 #include "support/mathutil.hpp"
 
 namespace chimera::exec {
@@ -178,6 +179,33 @@ ComputeEngine::matmul(const float *a, std::int64_t lda, const float *b,
         mmaStridedMatmul(a, lda, b, ldb, c, ldc, m, n, k);
         return;
     }
+}
+
+void
+ComputeEngine::matmul(const Operand &a, const Operand &b, float *c,
+                      std::int64_t ldc, std::int64_t m, std::int64_t n,
+                      std::int64_t k) const
+{
+    if (backend_ == Backend::MicroKernel) {
+        kernels::blockMatmul(*kernel_, a.data, a.ld, a.panels, b.data, b.ld,
+                             b.panels, c, ldc, m, n, k, threadWorkspace());
+        return;
+    }
+    CHIMERA_ASSERT(a.panels.panels == nullptr && b.panels.panels == nullptr,
+                   "packed panels given to a strided-only backend");
+    matmul(a.data, a.ld, b.data, b.ld, c, ldc, m, n, k);
+}
+
+int
+ComputeEngine::panelRows() const
+{
+    return backend_ == Backend::MicroKernel ? kernel_->mr : 0;
+}
+
+int
+ComputeEngine::panelCols() const
+{
+    return backend_ == Backend::MicroKernel ? kernel_->nr : 0;
 }
 
 const char *

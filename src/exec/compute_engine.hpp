@@ -15,6 +15,19 @@
 
 namespace chimera::exec {
 
+/**
+ * One matmul operand: a row-major strided view, plus panels already in
+ * the engine's packed layout when the caller holds them. The
+ * micro-kernel backend reads set panels in place and packs the view
+ * otherwise; backends without a panel layout read the view only.
+ */
+struct Operand
+{
+    const float *data = nullptr;
+    std::int64_t ld = 0;
+    kernels::PanelView panels;
+};
+
 /** Dispatches block matmuls to the selected implementation. */
 class ComputeEngine
 {
@@ -53,6 +66,23 @@ class ComputeEngine
     void matmul(const float *a, std::int64_t lda, const float *b,
                 std::int64_t ldb, float *c, std::int64_t ldc,
                 std::int64_t m, std::int64_t n, std::int64_t k) const;
+
+    /**
+     * C[m x n] += A[m x k] * B[k x n] where either operand may come as
+     * panels in the layout panelRows()/panelCols() describe. Bitwise
+     * the same as the strided matmul on the views the panels hold.
+     */
+    void matmul(const Operand &a, const Operand &b, float *c,
+                std::int64_t ldc, std::int64_t m, std::int64_t n,
+                std::int64_t k) const;
+
+    /**
+     * Panel height (mr) and width (nr) of the packed operands matmul
+     * reads; 0 for backends that read strided views only, which must
+     * then be given no panels.
+     */
+    int panelRows() const;
+    int panelCols() const;
 
     /** Name for reports ("avx512_6x64", "naive", ...). */
     const char *name() const;

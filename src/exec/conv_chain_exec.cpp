@@ -4,8 +4,10 @@
 #include <cstring>
 
 #include "exec/region_schedule.hpp"
+#include "kernels/im2col.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
+#include "support/mathutil.hpp"
 #include "tensor/reference.hpp"
 
 namespace chimera::exec {
@@ -16,40 +18,86 @@ using ir::Epilogue;
 namespace {
 
 /**
- * Packs one im2col patch row: for output columns [col0, col0+cols) of
- * output row @p outRow, gathers the (channels x kh x kw) receptive
- * fields from a [C, H, W] source with implicit zero padding.
- *
- * dst layout: dst[(c*kh + i)*kw + j][x] with row stride @p cols.
+ * A row-major [rows x depth] weight matrix packed once per call into
+ * the engine's A panels: one set per block of @p blockRows rows (the
+ * executor's channel tile), each over the full reduction depth. A
+ * matmul over the block at @p row0 and k steps from @p k0 on reads
+ * block(row0, k0) in place. Engines without a panel layout get the
+ * strided view only, and nothing is packed.
  */
-void
-packPatchRow(const float *src, std::int64_t chanStride, std::int64_t h,
-             std::int64_t w, std::int64_t chan0, std::int64_t chans,
-             std::int64_t outRow, std::int64_t col0, std::int64_t cols,
-             int kernel, int stride, int pad, float *dst)
+class PackedWeights
 {
-    for (std::int64_t c = 0; c < chans; ++c) {
-        const float *chanBase = src + (chan0 + c) * chanStride;
-        for (int ki = 0; ki < kernel; ++ki) {
-            const std::int64_t row = outRow * stride + ki - pad;
-            for (int kj = 0; kj < kernel; ++kj) {
-                float *out =
-                    dst + ((c * kernel + ki) * kernel + kj) * cols;
-                if (row < 0 || row >= h) {
-                    std::memset(out, 0,
-                                static_cast<std::size_t>(cols) *
-                                    sizeof(float));
-                    continue;
-                }
-                const float *rowBase = chanBase + row * w;
-                for (std::int64_t x = 0; x < cols; ++x) {
-                    const std::int64_t col =
-                        (col0 + x) * stride + kj - pad;
-                    out[x] = (col >= 0 && col < w) ? rowBase[col] : 0.0f;
-                }
-            }
+  public:
+    PackedWeights(const ComputeEngine &engine, const float *w,
+                  std::int64_t rows, std::int64_t depth,
+                  std::int64_t blockRows)
+        : w_(w), depth_(depth), blockRows_(blockRows),
+          mr_(engine.panelRows())
+    {
+        if (mr_ == 0) {
+            return;
+        }
+        blockElems_ = roundUp(std::min(blockRows, rows), mr_) * depth;
+        panels_ = allocateAligned<float>(static_cast<std::size_t>(
+            ceilDiv(rows, blockRows) * blockElems_));
+        for (std::int64_t row0 = 0; row0 < rows; row0 += blockRows) {
+            kernels::packAPanels(w + row0 * depth, depth,
+                                 std::min(blockRows, rows - row0), depth,
+                                 mr_, panels_.get() +
+                                          row0 / blockRows * blockElems_);
         }
     }
+
+    Operand block(std::int64_t row0, std::int64_t k0) const
+    {
+        CHIMERA_ASSERT(row0 % blockRows_ == 0, "weight block misaligned");
+        Operand op{w_ + row0 * depth_ + k0, depth_, {}};
+        if (mr_ != 0) {
+            op.panels = {panels_.get() + row0 / blockRows_ * blockElems_,
+                         depth_ * mr_, k0};
+        }
+        return op;
+    }
+
+  private:
+    const float *w_;
+    std::int64_t depth_;
+    std::int64_t blockRows_;
+    int mr_;
+    std::int64_t blockElems_ = 0;
+    AlignedBuffer<float> panels_;
+};
+
+/** Floats an im2col patch of @p depth x @p cols takes as a B operand. */
+std::int64_t
+patchElems(const ComputeEngine &engine, std::int64_t depth,
+           std::int64_t cols)
+{
+    const int nr = engine.panelCols();
+    return depth * (nr == 0 ? cols : roundUp(cols, nr));
+}
+
+/**
+ * Gathers an im2col patch (kernels/im2col.hpp) as matmul's B operand:
+ * straight into the engine's panels, or as a strided [depth x cols]
+ * matrix for engines without a panel layout.
+ */
+Operand
+gatherPatch(const ComputeEngine &engine, const float *src,
+            std::int64_t chanStride, std::int64_t h, std::int64_t w,
+            std::int64_t chan0, std::int64_t chans, std::int64_t outRow,
+            std::int64_t col0, std::int64_t cols, int kernel, int stride,
+            int pad, float *dst)
+{
+    const int nr = engine.panelCols();
+    if (nr == 0) {
+        kernels::packPatchRow(src, chanStride, h, w, chan0, chans, outRow,
+                              col0, cols, kernel, stride, pad, dst);
+        return {dst, cols, {}};
+    }
+    kernels::packPatchPanels(src, chanStride, h, w, chan0, chans, outRow,
+                             col0, cols, kernel, stride, pad, nr, dst);
+    return {nullptr, 0, {dst, chans * kernel * kernel * nr, 0}};
 }
 
 void
@@ -151,12 +199,19 @@ runFusedConvChain(const ConvChainConfig &config,
     // regions) and the im2col patch buffers for conv1 and conv2.
     const std::int64_t midHMax = st2 * (toh - 1) + k2;
     const std::int64_t midWMax = st2 * (tow - 1) + k2;
+    // W1 and W2 are packed once per call, per oc1 / oc2 block over the
+    // full reduction depth; every matmul below slices them at its k
+    // offset, and gathers its im2col patch straight into B panels.
+    const PackedWeights w1Panels(engine, w1.data(), config.oc1, w1Ld, toc1);
+    const PackedWeights w2Panels(engine, w2.data(), config.oc2, w2Ld, toc2);
     walker.run(
         "exec.conv_chain",
         {static_cast<std::size_t>(walker.tile(bAx) * toc1 * midHMax *
                                   midWMax),
-         static_cast<std::size_t>(tic * k1 * k1 * midWMax),
-         static_cast<std::size_t>(toc1 * k2 * k2 * tow)},
+         static_cast<std::size_t>(patchElems(engine, tic * k1 * k1,
+                                             midWMax)),
+         static_cast<std::size_t>(patchElems(engine, toc1 * k2 * k2,
+                                             tow))},
         [&](const Region &region) {
         float *tRegion = region.scratch(0);
         float *patch1 = region.scratch(1);
@@ -203,12 +258,12 @@ runFusedConvChain(const ConvChainConfig &config,
                 for (std::int64_t ic0 = 0; ic0 < config.ic; ic0 += tic) {
                     const std::int64_t icc =
                         std::min<std::int64_t>(tic, config.ic - ic0);
-                    packPatchRow(inBase, inChanStride, config.h, config.w,
-                                 ic0, icc, tRow, tColLo + colLoValid, cols,
-                                 k1, st1, pad1, patch1);
-                    engine.matmul(w1.data() + c0 * w1Ld + ic0 * k1 * k1,
-                                  w1Ld, patch1, cols, cBase, ldChan,
-                                  cc, cols, icc * k1 * k1);
+                    const Operand patch = gatherPatch(
+                        engine, inBase, inChanStride, config.h, config.w,
+                        ic0, icc, tRow, tColLo + colLoValid, cols, k1, st1,
+                        pad1, patch1);
+                    engine.matmul(w1Panels.block(c0, ic0 * k1 * k1), patch,
+                                  cBase, ldChan, cc, cols, icc * k1 * k1);
                 }
             }
         }
@@ -226,9 +281,9 @@ runFusedConvChain(const ConvChainConfig &config,
             for (std::int64_t rr = 0; rr < hh; ++rr) {
                 // Patch over the region buffer: padding is materialized,
                 // so pad = 0 and coordinates are region-local.
-                packPatchRow(tRegion + bi * ldBatch, ldChan, midH,
-                             midW, 0, cc, rr, 0, ww, k2, st2, 0,
-                             patch2);
+                const Operand patch =
+                    gatherPatch(engine, tRegion + bi * ldBatch, ldChan, midH,
+                                midW, 0, cc, rr, 0, ww, k2, st2, 0, patch2);
                 for (std::int64_t oc0 = 0; oc0 < config.oc2; oc0 += toc2) {
                     const std::int64_t occ =
                         std::min<std::int64_t>(toc2, config.oc2 - oc0);
@@ -236,9 +291,9 @@ runFusedConvChain(const ConvChainConfig &config,
                                    (b0 + bi) * outBatchStride +
                                    oc0 * outChanStride + (h0 + rr) * ow2 +
                                    w0;
-                    engine.matmul(w2.data() + oc0 * w2Ld + c0 * k2 * k2,
-                                  w2Ld, patch2, ww, oBase,
-                                  outChanStride, occ, ww, cc * k2 * k2);
+                    engine.matmul(w2Panels.block(oc0, c0 * k2 * k2), patch,
+                                  oBase, outChanStride, occ, ww,
+                                  cc * k2 * k2);
                 }
             }
         }
@@ -283,8 +338,10 @@ runTiledConv2d(const ComputeEngine &engine, const Tensor &input,
     patches.reserve(static_cast<std::size_t>(workers));
     for (int i = 0; i < workers; ++i) {
         patches.push_back(allocateAligned<float>(static_cast<std::size_t>(
-            std::min(tiles.tic, ic) * kernel * kernel * ow)));
+            patchElems(engine, std::min(tiles.tic, ic) * kernel * kernel,
+                       ow))));
     }
+    const PackedWeights panels(engine, weight.data(), oc, wLd, tiles.toc);
 
     obs::Span execSpan(obs::trace(), "exec.tiled_conv", "exec");
     execSpan.arg("tasks", batch * oh);
@@ -305,16 +362,15 @@ runTiledConv2d(const ComputeEngine &engine, const Tensor &input,
         for (std::int64_t ic0 = 0; ic0 < ic; ic0 += tiles.tic) {
             const std::int64_t icc =
                 std::min<std::int64_t>(tiles.tic, ic - ic0);
-            packPatchRow(inBase, h * w, h, w, ic0, icc, r, 0, ow,
-                         kernel, stride, pad, patch);
+            const Operand patchOp =
+                gatherPatch(engine, inBase, h * w, h, w, ic0, icc, r, 0, ow,
+                            kernel, stride, pad, patch);
             for (std::int64_t oc0 = 0; oc0 < oc; oc0 += tiles.toc) {
                 const std::int64_t occ =
                     std::min<std::int64_t>(tiles.toc, oc - oc0);
-                engine.matmul(
-                    weight.data() + oc0 * wLd + ic0 * kernel * kernel,
-                    wLd, patch, ow,
-                    outBase + oc0 * oh * ow + r * ow, oh * ow, occ, ow,
-                    icc * kernel * kernel);
+                engine.matmul(panels.block(oc0, ic0 * kernel * kernel),
+                              patchOp, outBase + oc0 * oh * ow + r * ow,
+                              oh * ow, occ, ow, icc * kernel * kernel);
             }
         }
         return ChunkTasks{};

@@ -6,15 +6,18 @@
  *
  * The fused executor materializes, per planned region (b/oc1/oh/ow
  * tiles), the halo-inflated slice of the intermediate feature map in an
- * on-chip buffer: conv1 produces it via implicit GEMM (per-row im2col
- * packing + the replaceable micro kernel), the optional ReLU is applied
+ * on-chip buffer: conv1 produces it via implicit GEMM (each row's
+ * im2col patch gathered straight into the micro kernel's B panels,
+ * against W1 panels packed once per call), the optional ReLU is applied
  * in place, and conv2 consumes it for every oc2 block before the buffer
  * is reused. Overlapping halos between adjacent spatial regions are
  * recomputed, the re-computation cost the paper accepts for 3x3
  * producers (§VI-B).
  *
  * The unfused executor is the library-style baseline: conv1 writes the
- * full intermediate to DRAM, then conv2 reads it back.
+ * full intermediate to DRAM, then conv2 reads it back. It packs its
+ * weights and gathers its patches the same way, so the two differ by
+ * fusion only.
  */
 
 #include "exec/compute_engine.hpp"

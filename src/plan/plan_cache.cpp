@@ -282,31 +282,34 @@ PlanCache::lookup(const ir::Chain &chain, const PlannerOptions &options)
     if (!directory_.empty()) {
         if (const std::optional<std::string> text =
                 readFile(entryPath(fingerprint))) {
-            try {
-                ExecutionPlan plan =
-                    deserializePlan(chain, *text, fingerprint);
-                // The document parsed and binds to the chain, but its
-                // schedule may still be illegal under the *current*
-                // options (e.g. a tampered entry whose footprint blows
-                // the capacity, or a non-executable order written when
-                // the filter was off). Audit before serving; predictions
-                // were just recomputed, so the recount adds nothing.
-                verify::PlanVerifyOptions vo =
-                    verify::planVerifyOptions(options);
-                vo.recount = false;
-                const verify::Report audit =
-                    verify::verifyExecutionPlan(chain, plan, vo);
-                if (audit.hasErrors()) {
-                    CHIMERA_INFO("rejecting illegal plan cache entry "
-                                 << entryPath(fingerprint) << ":\n"
-                                 << audit.render());
-                    rejectedPlans_.fetch_add(1,
-                                             std::memory_order_relaxed);
-                    misses_.fetch_add(1, std::memory_order_relaxed);
-                    cacheMetrics().misses.add();
-                    span.arg("outcome", std::string("rejected"));
-                    return std::nullopt;
-                }
+            // One pass binds the entry and audits its schedule under the
+            // *current* options (a tampered entry whose footprint blows
+            // the capacity, or a non-executable order written when the
+            // filter was off, still binds). Predictions are re-derived
+            // while binding, so the brute-force recount adds nothing.
+            verify::PlanVerifyOptions vo = verify::planVerifyOptions(options);
+            vo.recount = false;
+            std::optional<ExecutionPlan> resolved;
+            const verify::Report audit = verify::verifyPlanDocument(
+                chain, *text, fingerprint, vo, &resolved);
+            if (!resolved) {
+                // Stale/corrupt entry: replan silently; the store after
+                // planning overwrites it with a valid document.
+                CHIMERA_INFO("ignoring bad plan cache entry "
+                             << entryPath(fingerprint) << ":\n"
+                             << audit.render());
+                corruptEntries_.fetch_add(1, std::memory_order_relaxed);
+            } else if (audit.hasErrors()) {
+                CHIMERA_INFO("rejecting illegal plan cache entry "
+                             << entryPath(fingerprint) << ":\n"
+                             << audit.render());
+                rejectedPlans_.fetch_add(1, std::memory_order_relaxed);
+                misses_.fetch_add(1, std::memory_order_relaxed);
+                cacheMetrics().misses.add();
+                span.arg("outcome", std::string("rejected"));
+                return std::nullopt;
+            } else {
+                ExecutionPlan plan = std::move(*resolved);
                 diskHits_.fetch_add(1, std::memory_order_relaxed);
                 cacheMetrics().diskHits.add();
                 span.arg("outcome", std::string("disk-hit"));
@@ -315,13 +318,6 @@ PlanCache::lookup(const ir::Chain &chain, const PlannerOptions &options)
                 plan.candidatesExamined = 0;
                 plan.planSeconds = timer.seconds();
                 return plan;
-            } catch (const Error &e) {
-                // Stale/corrupt entry: replan silently; the store after
-                // planning overwrites it with a valid document.
-                CHIMERA_INFO("ignoring bad plan cache entry "
-                             << entryPath(fingerprint) << ": "
-                             << e.what());
-                corruptEntries_.fetch_add(1, std::memory_order_relaxed);
             }
         }
     }

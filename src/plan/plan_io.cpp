@@ -277,11 +277,14 @@ parsePlanDocument(const std::string &text)
     };
 
     std::string line;
-    CHIMERA_CHECK(nextLine(line), "empty plan document");
-    CHIMERA_CHECK(line == "chimera-plan v1" || line == "chimera-plan v2",
-                  "plan document line 1: not a chimera-plan v1/v2 header"
-                  " (\"" +
-                      line + "\")");
+    if (!nextLine(line)) {
+        throw Error("empty plan document");
+    }
+    if (line != "chimera-plan v1" && line != "chimera-plan v2") {
+        throw Error("plan document line 1: not a chimera-plan v1/v2 header"
+                    " (\"" +
+                    line + "\")");
+    }
 
     ParsedPlanDoc doc;
     doc.version = line.back() == '1' ? 1 : 2;

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the replaceable micro kernels: registry behaviour,
- * parameter selection (§V-B), packing, block matmul correctness for
- * every registered implementation, and the softmax row kernel at every
- * compiled tier.
+ * parameter selection (§V-B), packing (A/B panels, the im2col panel
+ * gather, packed-operand block matmul), block matmul correctness for
+ * every registered implementation, the fused conv executor over packed
+ * weights, and the softmax row kernel at every compiled tier.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +18,15 @@
 #include <limits>
 #include <vector>
 
+#include "exec/compute_engine.hpp"
+#include "exec/conv_chain_exec.hpp"
+#include "ir/builders.hpp"
 #include "kernels/block_matmul.hpp"
+#include "kernels/im2col.hpp"
 #include "kernels/kernel_params.hpp"
 #include "kernels/micro_kernel.hpp"
 #include "kernels/softmax_row.hpp"
+#include "plan/planner.hpp"
 #include "support/aligned.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -316,6 +322,233 @@ TEST(NaiveBlockMatmul, MatchesReference)
     ref::gemm(a, b, expected);
     naiveBlockMatmul(a.data(), 11, b.data(), 13, c.data(), 13, 9, 13, 11);
     EXPECT_TRUE(allClose(c, expected, 1e-4f, 1e-4f));
+}
+
+/** Bitwise equality of two float buffers. */
+bool
+sameBits(const float *a, const float *b, std::size_t n)
+{
+    return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+TEST(Packing, SimdAPanelMatchesScalarSpec)
+{
+    // mr 6 and 12 take the register transpose where it is compiled; 4
+    // runs the scalar loop. The tail past kc*mr must stay untouched.
+    constexpr float kSentinel = -7.0f;
+    for (const int mr : {4, 6, 12}) {
+        for (int rows = 1; rows <= mr; ++rows) {
+            for (std::int64_t kc = 1; kc <= 40; ++kc) {
+                const std::int64_t lda = kc + 3;
+                std::vector<float> a(static_cast<std::size_t>(rows * lda));
+                Rng rng(static_cast<std::uint64_t>(mr * 1000 + rows * 50 + kc));
+                for (float &v : a) {
+                    v = rng.uniform(-1.0f, 1.0f);
+                }
+                const std::size_t size = static_cast<std::size_t>(kc * mr);
+                std::vector<float> spec(size + 8, kSentinel);
+                std::vector<float> simd(size + 8, kSentinel);
+                scalarPackAPanel(a.data(), lda, rows, kc, mr, spec.data());
+                packAPanel(a.data(), lda, rows, kc, mr, simd.data());
+                ASSERT_TRUE(sameBits(spec.data(), simd.data(), size + 8))
+                    << "mr " << mr << " rows " << rows << " kc " << kc;
+            }
+        }
+    }
+}
+
+TEST(Packing, PatchPanelsMatchPatchRowThenBPanel)
+{
+    // [C=3, H=5, W=9] source; output rows run past h so kernel rows
+    // fall outside [0, h), and windows cross both column borders.
+    const std::int64_t chans = 2, chan0 = 1, h = 5, w = 9;
+    std::vector<float> src(static_cast<std::size_t>(3 * h * w));
+    Rng rng(21);
+    for (float &v : src) {
+        v = rng.uniform(-1.0f, 1.0f);
+    }
+    for (const int stride : {1, 2, 4}) {
+        for (const int pad : {0, 1}) {
+            for (const int kernel : {1, 3}) {
+                const std::int64_t depth = chans * kernel * kernel;
+                for (std::int64_t outRow = 0; outRow <= h / stride + 1;
+                     ++outRow) {
+                    for (const std::int64_t col0 : {0, 1, 3}) {
+                        for (const std::int64_t cols : {1, 2, 5, 11}) {
+                            for (const int nr : {3, 8, 16}) {
+                                std::vector<float> patch(
+                                    static_cast<std::size_t>(depth * cols));
+                                packPatchRow(src.data(), h * w, h, w, chan0,
+                                             chans, outRow, col0, cols,
+                                             kernel, stride, pad,
+                                             patch.data());
+                                const std::int64_t panels =
+                                    (cols + nr - 1) / nr;
+                                const std::size_t size =
+                                    static_cast<std::size_t>(panels * depth *
+                                                             nr);
+                                std::vector<float> spec(size, -7.0f);
+                                for (std::int64_t p = 0; p < panels; ++p) {
+                                    packBPanel(
+                                        patch.data() + p * nr, cols, depth,
+                                        static_cast<int>(std::min<
+                                                         std::int64_t>(
+                                            nr, cols - p * nr)),
+                                        nr, spec.data() + p * depth * nr);
+                                }
+                                std::vector<float> gathered(size, -9.0f);
+                                packPatchPanels(src.data(), h * w, h, w,
+                                                chan0, chans, outRow, col0,
+                                                cols, kernel, stride, pad,
+                                                nr, gathered.data());
+                                ASSERT_TRUE(sameBits(spec.data(),
+                                                     gathered.data(), size))
+                                    << "stride " << stride << " pad " << pad
+                                    << " kernel " << kernel << " row "
+                                    << outRow << " col0 " << col0
+                                    << " cols " << cols << " nr " << nr;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** Packed-operand blockMatmul over every registered micro kernel. */
+class PackedOperands : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(PackedOperands, PanelsGiveTheStridedResultBitwise)
+{
+    const MicroKernel &kernel =
+        MicroKernelRegistry::instance().byName(GetParam());
+    const int mr = kernel.mr;
+    const int nr = kernel.nr;
+    // Panels cover kOffset + k steps; the matmul reads from kOffset on.
+    constexpr std::int64_t kOffset = 5;
+    Workspace workspace;
+    for (const std::int64_t m : {1, mr - 1, mr, mr + 1, 3 * mr + 2}) {
+        for (const std::int64_t n : {1, nr - 1, nr, nr + 1, 2 * nr + 3}) {
+            for (const std::int64_t k : {1, 7, 64}) {
+                if (m < 1 || n < 1) {
+                    continue;
+                }
+                const std::int64_t depth = kOffset + k;
+                Tensor a({m, depth});
+                Tensor b({depth, n});
+                Tensor c0({m, n});
+                Rng rng(static_cast<std::uint64_t>(m * 10007 + n * 101 + k));
+                fillUniform(a, rng);
+                fillUniform(b, rng);
+                fillUniform(c0, rng);
+
+                const std::int64_t mPanels = (m + mr - 1) / mr;
+                const std::int64_t nPanels = (n + nr - 1) / nr;
+                std::vector<float> aPanels(
+                    static_cast<std::size_t>(mPanels * depth * mr));
+                packAPanels(a.data(), depth, m, depth, mr, aPanels.data());
+                std::vector<float> bPanels(
+                    static_cast<std::size_t>(nPanels * depth * nr));
+                for (std::int64_t p = 0; p < nPanels; ++p) {
+                    packBPanel(b.data() + p * nr, n, depth,
+                               static_cast<int>(
+                                   std::min<std::int64_t>(nr, n - p * nr)),
+                               nr, bPanels.data() + p * depth * nr);
+                }
+                const PanelView aView{aPanels.data(), depth * mr, kOffset};
+                const PanelView bView{bPanels.data(), depth * nr, kOffset};
+
+                Tensor strided = c0;
+                blockMatmul(kernel, a.data() + kOffset, depth,
+                            b.data() + kOffset * n, n, strided.data(), n, m,
+                            n, k, workspace);
+                const std::pair<bool, bool> modes[] = {
+                    {true, false}, {false, true}, {true, true}};
+                for (const auto &[packA, packB] : modes) {
+                    Tensor packed = c0;
+                    blockMatmul(kernel, packA ? nullptr : a.data() + kOffset,
+                                depth, packA ? aView : PanelView{},
+                                packB ? nullptr : b.data() + kOffset * n, n,
+                                packB ? bView : PanelView{}, packed.data(), n,
+                                m, n, k, workspace);
+                    ASSERT_TRUE(sameBits(strided.data(), packed.data(),
+                                         static_cast<std::size_t>(m * n)))
+                        << kernel.name << " m " << m << " n " << n << " k "
+                        << k << " packed A " << packA << " packed B "
+                        << packB;
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKernels, PackedOperands,
+                         ::testing::ValuesIn(registeredKernelNames()));
+
+TEST(ConvChainPacking, RaggedTilesAreThreadInvariantAndMatchReference)
+{
+    // oc1 = 14 in tiles of 4, ic = 10 in tiles of 3, oc2 = 9 in tiles
+    // of 4: every channel loop ends on a ragged block, so the packed
+    // weights are sliced at block and k offsets that are not multiples
+    // of the register tile.
+    ir::ConvChainConfig cfg;
+    cfg.batch = 2;
+    cfg.ic = 10;
+    cfg.h = 9;
+    cfg.w = 11;
+    cfg.oc1 = 14;
+    cfg.oc2 = 9;
+    cfg.k1 = 3;
+    cfg.k2 = 3;
+    cfg.epilogue = ir::Epilogue::Relu;
+    const ir::Chain chain = ir::makeConvChain(cfg);
+    plan::PlannerOptions options;
+    options.memCapacityBytes = 64.0 * 1024;
+    plan::ExecutionPlan plan = plan::planChain(chain, options);
+    for (const auto &[name, size] : {std::pair<const char *, std::int64_t>{
+                                         "oc1", 4},
+                                     {"ic", 3},
+                                     {"oc2", 4},
+                                     {"oh", 4},
+                                     {"ow", 5}}) {
+        plan.tiles[static_cast<std::size_t>(ir::axisIdByName(chain, name))] =
+            size;
+    }
+
+    Tensor input(exec::convChainShapeI(cfg));
+    Tensor w1(exec::convChainShapeW1(cfg));
+    Tensor w2(exec::convChainShapeW2(cfg));
+    Rng rng(33);
+    fillUniform(input, rng);
+    fillUniform(w1, rng);
+    fillUniform(w2, rng);
+    Tensor expected(exec::convChainShapeO(cfg));
+    exec::referenceConvChain(cfg, input, w1, w2, expected);
+
+    const exec::ComputeEngine engine = exec::ComputeEngine::best();
+    Tensor serial(exec::convChainShapeO(cfg));
+    exec::runFusedConvChain(cfg, plan, engine, input, w1, w2, serial,
+                            exec::ExecOptions{1});
+    EXPECT_TRUE(allClose(serial, expected, 2e-3f, 2e-3f))
+        << maxAbsDiff(serial, expected);
+    for (const int threads : {2, 4}) {
+        Tensor output(exec::convChainShapeO(cfg));
+        exec::runFusedConvChain(cfg, plan, engine, input, w1, w2, output,
+                                exec::ExecOptions{threads});
+        EXPECT_TRUE(sameBits(serial.data(), output.data(),
+                             static_cast<std::size_t>(serial.numel())))
+            << threads << " threads";
+    }
+
+    // The emulated NPU reads strided views: no panels are packed for it.
+    Tensor npu(exec::convChainShapeO(cfg));
+    exec::runFusedConvChain(cfg, plan, exec::ComputeEngine::emulatedNpu(),
+                            input, w1, w2, npu);
+    EXPECT_TRUE(allClose(npu, expected, 2e-3f, 2e-3f))
+        << maxAbsDiff(npu, expected);
 }
 
 /** Parameterized over every compiled softmax row tier, scalar spec first. */

@@ -153,6 +153,48 @@ TEST(PlanCache, CorruptEntryFallsBackToReplanning)
     EXPECT_EQ(healed.stats().diskHits, 1);
 }
 
+TEST(PlanCache, StalePredictionEntryIsRejectedAndReplanned)
+{
+    // One verifier pass binds the entry and checks its declared
+    // predictions (PL08): a volume line that disagrees with Algorithm 1
+    // is a tampered entry, refused and replanned rather than served.
+    const ir::Chain chain = chainUnderTest();
+    PlannerOptions options = optionsUnderTest();
+    const std::string dir = freshDir("stale-prediction");
+
+    ExecutionPlan cold;
+    {
+        PlanCache writer(dir);
+        options.cache = &writer;
+        cold = planChain(chain, options);
+    }
+    const fs::path entry = onlyEntry(dir);
+    std::string text;
+    {
+        std::ifstream in(entry);
+        std::ostringstream contents;
+        contents << in.rdbuf();
+        text = contents.str();
+    }
+    const std::size_t pos = text.find("volume-bytes: ");
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, text.find('\n', pos) - pos, "volume-bytes: 7");
+    {
+        std::ofstream out(entry, std::ios::trunc);
+        out << text;
+    }
+
+    PlanCache reader(dir);
+    options.cache = &reader;
+    const ExecutionPlan replanned = planChain(chain, options);
+    EXPECT_GT(replanned.candidatesExamined, 0);
+    EXPECT_EQ(reader.stats().rejectedPlans, 1);
+    EXPECT_EQ(reader.stats().corruptEntries, 0);
+    EXPECT_EQ(reader.stats().diskHits, 0);
+    EXPECT_EQ(replanned.perm, cold.perm);
+    EXPECT_EQ(replanned.tiles, cold.tiles);
+}
+
 TEST(PlanCache, FingerprintMismatchTriggersReplan)
 {
     const ir::Chain chain = chainUnderTest();

@@ -11,10 +11,11 @@
  * was reported. A chain with no schedule that fits --capacity is an
  * input error, not a finding: exit 2, like bad usage.
  *
- * With --race the tool additionally *executes* the fused chain (gemm
- * and conv modes only) under a shadow-memory race checker: every block
- * task tags the output elements it writes, and two distinct tasks
- * claiming the same element is reported as rule RC01. Detection is
+ * With --race the tool additionally *executes* the fused chain (gemm,
+ * gemm3 and conv modes; dsl chains have no executor) under a
+ * shadow-memory race checker: every block task tags the output
+ * elements it writes, and two distinct tasks claiming the same element
+ * is reported as rule RC01. Detection is
  * keyed on the deterministic block-task index, so the suspect plan is
  * run serially — a mis-declared parallel axis is caught without ever
  * racing for real. This is the dynamic complement of the static DP
@@ -60,7 +61,7 @@
  *   --no-recount         skip the brute-force Algorithm-1 recount (PL09)
  *   --threads <N>        planner threads when planning fresh
  *   --race               execute the fused chain under the shadow-memory
- *                        race checker (gemm/conv only; rule RC01)
+ *                        race checker (gemm/gemm3/conv; rule RC01)
  *   --search             replay the pruned order search against
  *                        exhaustive enumeration (OE01-OE03)
  *   --prune <mode>       pruning mode for --search: none, symmetry or
@@ -136,7 +137,7 @@ usage()
         " [options]\n"
         "options: --plan <file> --fingerprint <hex> --capacity <bytes>"
         " --softmax --relu --registers <N> --no-recount --threads <N>"
-        " --race (gemm/conv only) --search"
+        " --race (gemm/gemm3/conv) --search"
         " --prune none|symmetry|dominance --static --domain axis=max\n");
     std::exit(2);
 }
@@ -381,8 +382,8 @@ run(const ir::Chain &chain, const solver::TileConstraints &constraints,
 
     if (options.race && !raceScan) {
         std::fprintf(stderr,
-                     "--race needs an executable chain (gemm or conv"
-                     " mode)\n");
+                     "--race needs an executable chain (gemm, gemm3 or"
+                     " conv mode)\n");
         usage();
     }
 
