@@ -12,10 +12,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
 
-#include "exec/chunk_profile.hpp"
 #include "exec/constraints.hpp"
 #include "exec/conv_chain_exec.hpp"
 #include "exec/exec_options.hpp"
@@ -99,28 +97,6 @@ planCpuThreaded(const ir::Chain &chain, int execThreads,
     options.execThreads = execThreads;
     options.topology = hw::multicoreCpuTopology();
     return plan::planChain(chain, options);
-}
-
-/**
- * Best-of simulated critical path over @p repeats runs: @p run executes
- * the workload with a fresh ChunkProfile of @p workers simulated
- * workers attached, and the result is the smallest criticalPathSeconds
- * observed. The run itself may execute on any number of real threads
- * (including one — the bench host can be a single core); the profile
- * charges each chunk to its static owner, so the critical path reflects
- * the plan's balance, not the host's parallelism.
- */
-template <typename Fn>
-inline double
-bestOfSimulatedSeconds(int workers, Fn &&run, int repeats = kRepeats)
-{
-    double best = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < repeats; ++r) {
-        exec::ChunkProfile profile(workers);
-        run(profile);
-        best = std::min(best, profile.criticalPathSeconds());
-    }
-    return best;
 }
 
 /**

@@ -33,8 +33,7 @@ namespace {
 /** Bench knobs shared by the two figure families. */
 struct RunOptions
 {
-    int threads = 0;  ///< --threads N (0 = CHIMERA_THREADS / hardware)
-    bool sim = false; ///< --sim: simulated-critical-path Chimera timing
+    int threads = 0;    ///< --threads N (0 = CHIMERA_THREADS / hardware)
     bool quick = false; ///< --quick: first four Table IV workloads only
 };
 
@@ -61,7 +60,7 @@ runFamily(ir::Epilogue epilogue, const char *title, const RunOptions &run)
         cfg.epilogue = epilogue;
         const ir::Chain chain = ir::makeGemmChain(cfg);
         const plan::ExecutionPlan plan = planCpu(chain);
-        // The thread-aware plan the parallel/simulated columns run:
+        // The thread-aware plan the parallel column runs:
         // per-worker LLC budgets plus the parallel-axis chunking.
         const plan::ExecutionPlan planPar =
             workers > 1 ? planCpuThreaded(chain, workers) : plan;
@@ -103,30 +102,11 @@ runFamily(ir::Epilogue epilogue, const char *title, const RunOptions &run)
             cfg, best, data, fixed, fixed, kRepeats, parOptions);
         const double tAnsor = timeUnfusedGemmChain(
             cfg, best, data, tuned1, tuned2, kRepeats, parOptions);
-        double tChimera = 0.0;
-        double tChimeraPar = 0.0;
-        if (run.sim) {
-            // Simulated critical path (see DESIGN.md): both runs
-            // execute serially; each chunk's time is charged to its
-            // static owner, T_par = sum over phases of max-busy worker.
-            tChimera = bestOfSimulatedSeconds(1, [&](auto &profile) {
-                exec::ExecOptions o{1, nullptr, nullptr, &profile};
-                exec::runFusedGemmChain(cfg, plan, best, data.a, data.b,
-                                        data.d, data.e, o);
-            });
-            tChimeraPar =
-                bestOfSimulatedSeconds(workers, [&](auto &profile) {
-                    exec::ExecOptions o{1, nullptr, nullptr, &profile};
-                    exec::runFusedGemmChain(cfg, planPar, best, data.a,
-                                            data.b, data.d, data.e, o);
-                });
-        } else {
-            tChimera =
-                timeFusedGemmChain(cfg, plan, best, data, kRepeats,
-                                   exec::ExecOptions{1, nullptr});
-            tChimeraPar = timeFusedGemmChain(cfg, planPar, best, data,
-                                             kRepeats, parOptions);
-        }
+        const double tChimera =
+            timeFusedGemmChain(cfg, plan, best, data, kRepeats,
+                               exec::ExecOptions{1, nullptr});
+        const double tChimeraPar = timeFusedGemmChain(
+            cfg, planPar, best, data, kRepeats, parOptions);
 
         speedupsPt.push_back(tPytorch / tChimeraPar);
         speedupsAnsor.push_back(tAnsor / tChimeraPar);
@@ -198,7 +178,6 @@ main(int argc, char **argv)
     using namespace chimera;
     bench::RunOptions run;
     run.threads = bench::threadsFromArgs(argc, argv);
-    run.sim = bench::flagInArgs(argc, argv, "--sim");
     run.quick = bench::flagInArgs(argc, argv, "--quick");
     bench::printHeader(
         "Figure 5a/5b — CPU batch GEMM chain fusion (measured)",
@@ -207,8 +186,6 @@ main(int argc, char **argv)
         " compute/bandwidth balance (~6 Flop/byte) is far below the"
         " paper's 18-core fp16 Xeon (92 Flop/byte), which compresses"
         " memory-bound gaps (see EXPERIMENTS.md).");
-    std::printf("scaling mode: %s\n\n",
-                run.sim ? "simulated-critical-path" : "wall-clock");
     bench::runFamily(ir::Epilogue::None, "Figure 5a: BGEMM + BGEMM", run);
     bench::runFamily(ir::Epilogue::Softmax,
                      "Figure 5b: BGEMM + softmax + BGEMM", run);

@@ -1,23 +1,19 @@
 #!/usr/bin/env bash
-# Thread-scaling sweep: runs the GEMM-chain bench (fig5) at 1/2/4/8
-# worker threads and prints the per-count geomean lines as a speedup
-# table. Output is also captured to scaling_output.txt, and the table —
-# plus the bench's dependence-analysis and static-safety overhead
-# lines — is emitted as machine-readable BENCH_scaling.json.
-#
-# Modes (BENCH_SCALING_MODE=wall|sim|auto, default auto):
-#   wall  times the parallel fused run with real worker threads;
-#   sim   times a serial run under the simulated critical path (each
-#         chunk charged to its static owner; see DESIGN.md
-#         "Thread-aware planning") so the plan's scaling is measurable
-#         on hosts with fewer cores than the sweep's thread counts;
-#   auto  picks sim when nproc < 4, wall otherwise.
+# Wall-clock thread-scaling sweep: runs the GEMM-chain bench (fig5) at
+# each of 1/2/4/8 worker threads that the host has CPUs for (count <=
+# nproc) and prints the per-count geomean lines as a speedup table.
+# Output is also captured to scaling_output.txt, and the table — plus
+# the bench's dependence-analysis and static-safety overhead lines — is
+# emitted as machine-readable BENCH_scaling.json.
 #
 # Flags: --quick restricts the bench to the first four Table IV shapes
 # (reduced CI sweep).
 #
-# Gate: exits non-zero when the final serial->NT geomean is below 1.0x —
-# a thread-aware plan must never be slower than the serial one.
+# Gate: exits non-zero when the serial->NT geomean at the largest swept
+# count is below 1.0x — a thread-aware plan must never be slower than
+# the serial one. The gate needs at least 2 CPUs: on a 1-CPU host there
+# is no parallel count to measure, so the script fails rather than pass
+# on a serial-vs-serial ratio.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,21 +31,20 @@ for arg in "$@"; do
     esac
 done
 
-mode="${BENCH_SCALING_MODE:-auto}"
-if [ "$mode" = "auto" ]; then
-    cores="$(nproc 2>/dev/null || echo 1)"
-    if [ "$cores" -lt 4 ]; then mode=sim; else mode=wall; fi
+cores="$(nproc 2>/dev/null || echo 1)"
+if [ "$cores" -lt 2 ]; then
+    echo "error: the wall-clock scaling gate needs >= 2 CPUs; nproc is $cores" >&2
+    exit 1
 fi
-case "$mode" in
-    sim) mode_json="simulated-critical-path"; bench_flags=(--sim) ;;
-    wall) mode_json="wall-clock"; bench_flags=() ;;
-    *) echo "error: BENCH_SCALING_MODE must be wall, sim, or auto" >&2; exit 2 ;;
-esac
+declare -a counts=()
+for t in 1 2 4 8; do
+    [ "$t" -le "$cores" ] && counts+=("$t")
+done
+bench_flags=()
 [ "$quick" -eq 1 ] && bench_flags+=(--quick)
-echo "mode: $mode_json (quick=$quick)"
+echo "mode: wall-clock (nproc=$cores, quick=$quick)"
 
 : > scaling_output.txt
-declare -a counts=(1 2 4 8)
 declare -a geomeans=()
 overhead_pct="null"
 safety_pct="null"
@@ -87,7 +82,8 @@ echo "(full bench tables captured in scaling_output.txt)"
     echo '{'
     echo '  "bench": "fig5_cpu_gemm_chains",'
     echo '  "metric": "geomean serial->NT speedup over Table IV",'
-    echo "  \"mode\": \"${mode_json}\","
+    echo '  "mode": "wall-clock",'
+    echo "  \"nproc\": ${cores},"
     echo "  \"quick\": $([ "$quick" -eq 1 ] && echo true || echo false),"
     echo '  "scaling": ['
     for i in "${!counts[@]}"; do

@@ -345,7 +345,7 @@ runTiledConv2d(const ComputeEngine &engine, const Tensor &input,
 
     obs::Span execSpan(obs::trace(), "exec.tiled_conv", "exec");
     execSpan.arg("tasks", batch * oh);
-    dispatchChunks(pool, options.profile, batch * oh,
+    dispatchChunks(pool, batch * oh,
                    [&](std::int64_t task, int worker) {
         const std::int64_t bi = task / oh;
         const std::int64_t r = task % oh;

@@ -3,19 +3,16 @@
 /**
  * @file
  * Runtime knobs every executor entry point accepts: the worker-thread
- * policy (or an explicit pool), an optional race checker and an
- * optional chunk profile. The fused executors hand them to the region
- * walker (exec/region_schedule.hpp), the unfused ones to
- * dispatchChunks. The plan itself (order, tiles, grain) stays a planner
- * concern.
+ * policy (or an explicit pool) and an optional race checker. The fused
+ * executors hand them to the region walker (exec/region_schedule.hpp),
+ * the unfused ones to dispatchChunks. The plan itself (order, tiles,
+ * grain) stays a planner concern.
  */
 
 #include "analysis/race_checker.hpp"
 #include "support/thread_pool.hpp"
 
 namespace chimera::exec {
-
-class ChunkProfile;
 
 /** Execution-time options accepted by every executor entry point. */
 struct ExecOptions
@@ -42,15 +39,6 @@ struct ExecOptions
      * execution of the suspect plan.
      */
     analysis::RaceChecker *raceCheck = nullptr;
-
-    /**
-     * Optional per-worker busy-time profile (see exec/chunk_profile.hpp).
-     * When non-null the fused executors time every dispatch chunk and
-     * charge it to the chunk's static owner, giving the scaling bench
-     * its simulated critical path. Appended last so existing aggregate
-     * initializers ({threads, pool, raceCheck}) keep compiling.
-     */
-    ChunkProfile *profile = nullptr;
 };
 
 /** Pool an executor should run on; nullptr means run serially. */

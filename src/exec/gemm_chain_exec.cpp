@@ -225,7 +225,7 @@ runTiledBatchGemm(const ComputeEngine &engine, const Tensor &a,
     const std::int64_t tasks = batch * mTiles;
     obs::Span execSpan(obs::trace(), "exec.tiled_gemm", "exec");
     execSpan.arg("tasks", tasks);
-    dispatchChunks(execPool(options), options.profile, tasks,
+    dispatchChunks(execPool(options), tasks,
                    [&](std::int64_t task, int) {
         const std::int64_t bi = task / mTiles;
         const std::int64_t m0 = (task % mTiles) * tiles.tm;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/race_checker.hpp"
-#include "exec/chunk_profile.hpp"
 #include "obs/trace.hpp"
 #include "support/aligned.hpp"
 #include "support/error.hpp"
@@ -147,22 +146,14 @@ regionLoops(const ir::Chain &chain, const plan::ExecutionPlan &plan)
 
 void
 dispatchChunks(
-    ThreadPool *pool, ChunkProfile *profile, std::int64_t chunks,
+    ThreadPool *pool, std::int64_t chunks,
     const std::function<ChunkTasks(std::int64_t chunk, int worker)> &body)
 {
-    if (profile != nullptr) {
-        profile->beginPhase(chunks);
-    }
-    // One clock (obs::nowNanos) feeds both the ChunkProfile critical
-    // path and the trace spans, so their timelines agree exactly.
     obs::TraceRecorder *const tracer = obs::trace();
     parallelFor(pool, 0, chunks, [&](std::int64_t chunk, int worker) {
         const std::int64_t start = obs::nowNanos();
         const ChunkTasks tasks = body(chunk, worker);
         const std::int64_t nanos = obs::nowNanos() - start;
-        if (profile != nullptr) {
-            profile->recordChunk(chunk, static_cast<double>(nanos) * 1e-9);
-        }
         if (tracer != nullptr) {
             std::vector<obs::TraceArg> args = {
                 {"chunk", chunk},
@@ -286,7 +277,7 @@ RegionWalker::run(const char *spanName,
     const std::int64_t chunks = chunkCount();
     obs::Span execSpan(obs::trace(), spanName, "exec");
     execSpan.arg("chunks", chunks).arg("workers", workers);
-    dispatchChunks(pool_, options_.profile, chunks,
+    dispatchChunks(pool_, chunks,
                    [&](std::int64_t chunk, int worker) {
         WorkerState &state = states[static_cast<std::size_t>(worker)];
         Region &region = state.region;

@@ -25,9 +25,8 @@
  * RegionWalker::run owns the rest of the walk: grain chunking of the
  * task space, dispatch over the ExecOptions pool, one scratch buffer
  * per worker, race-checker claims of each region's output window
- * (derived from the output tensor's access map), ChunkProfile timing
- * and the `exec.chunk` trace spans. The executor supplies only the
- * block body.
+ * (derived from the output tensor's access map) and the `exec.chunk`
+ * trace spans. The executor supplies only the block body.
  */
 
 #include <cstdint>
@@ -101,13 +100,13 @@ struct ChunkTasks
 };
 
 /**
- * One profiled dispatch phase: runs @p body for every chunk in
- * [0, chunks) on @p pool, charges each chunk's wall time to @p profile
- * (when non-null) and records it as an `exec.chunk` span with its chunk
- * and worker (plus task_lo/task_hi when the body reports them).
+ * One dispatch phase: runs @p body for every chunk in [0, chunks) on
+ * @p pool and, while a trace recorder is installed, records each chunk
+ * as an `exec.chunk` span with its chunk and worker (plus
+ * task_lo/task_hi when the body reports them).
  */
 void dispatchChunks(
-    ThreadPool *pool, ChunkProfile *profile, std::int64_t chunks,
+    ThreadPool *pool, std::int64_t chunks,
     const std::function<ChunkTasks(std::int64_t chunk, int worker)> &body);
 
 /**

@@ -24,9 +24,9 @@
  *    `--trace-out` CLI flags), then `writeJson(path)` when done.
  *
  * All spans share one clock — `obs::nowNanos()`, steady_clock
- * nanoseconds since a process-wide epoch — which is also what the
- * executors feed to `ChunkProfile`, so critical-path attribution and
- * trace timelines agree exactly.
+ * nanoseconds since a process-wide epoch — so the executors'
+ * per-chunk `exec.chunk` spans and the enclosing spans share one
+ * timeline.
  */
 
 #include <atomic>

@@ -156,15 +156,12 @@ struct ThreadPool::Impl
     void
     runChunk(int worker)
     {
-        const std::int64_t total = end_ - begin_;
-        const std::int64_t per = total / size_;
-        const std::int64_t rem = total % size_;
-        const std::int64_t start =
-            begin_ + worker * per + std::min<std::int64_t>(worker, rem);
-        const std::int64_t stop = start + per + (worker < rem ? 1 : 0);
+        const ChunkRange range =
+            staticChunkRange(end_ - begin_, size_, worker);
         tlsInsideChunk = true;
         try {
-            for (std::int64_t i = start; i < stop; ++i) {
+            for (std::int64_t i = begin_ + range.begin;
+                 i < begin_ + range.end; ++i) {
                 (*fn_)(i, worker);
             }
         } catch (...) {
@@ -327,30 +324,6 @@ staticChunkRange(std::int64_t total, int workers, int worker)
     const std::int64_t start =
         worker * per + std::min<std::int64_t>(worker, rem);
     return {start, start + per + (worker < rem ? 1 : 0)};
-}
-
-int
-staticChunkOwner(std::int64_t index, std::int64_t total, int workers)
-{
-    if (total <= 0 || workers <= 1) {
-        return 0;
-    }
-    // Clamp out-of-range indices to the nearest real item so the
-    // result is always a worker whose range is non-empty. (The old
-    // "index >= total -> workers - 1" clamp pointed at an *empty*
-    // worker whenever total < workers.)
-    index = std::clamp<std::int64_t>(index, 0, total - 1);
-    const std::int64_t per = total / workers;
-    const std::int64_t rem = total % workers;
-    if (per == 0) {
-        return static_cast<int>(index); // fewer items than workers
-    }
-    // The first rem workers own per + 1 items each.
-    const std::int64_t big = (per + 1) * rem;
-    if (index < big) {
-        return static_cast<int>(index / (per + 1));
-    }
-    return static_cast<int>(rem + (index - big) / per);
 }
 
 } // namespace chimera

@@ -105,21 +105,10 @@ struct ChunkRange
 
 /**
  * The [begin, end) sub-range of @p total items that @p worker owns under
- * the pool's static contiguous split across @p workers — the exact same
- * math parallelFor uses, exported so planners and profilers can reason
- * about the static worker -> chunk assignment (e.g. the scaling bench's
- * simulated critical path). The first (total % workers) workers own one
- * extra item.
+ * the pool's static contiguous split across @p workers — the split
+ * ThreadPool::parallelFor runs. The first (total % workers) workers own
+ * one extra item.
  */
 ChunkRange staticChunkRange(std::int64_t total, int workers, int worker);
-
-/**
- * Inverse of staticChunkRange: the worker that owns item @p index of
- * @p total under the static split across @p workers. Out-of-range
- * indices clamp to the nearest real item, so the result is always in
- * [0, workers) and always names a worker whose range contains at least
- * one item (worker 0 when total <= 0).
- */
-int staticChunkOwner(std::int64_t index, std::int64_t total, int workers);
 
 } // namespace chimera

@@ -11,10 +11,12 @@
 #include <cstring>
 
 #include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "analysis/dependence.hpp"
 #include "analysis/race_checker.hpp"
-#include "exec/chunk_profile.hpp"
 #include "exec/constraints.hpp"
 #include "exec/conv_chain_exec.hpp"
 #include "exec/gemm_chain3_exec.hpp"
@@ -25,6 +27,7 @@
 #include "graph/transformer.hpp"
 #include "ir/builders.hpp"
 #include "ir/workloads.hpp"
+#include "obs/trace.hpp"
 #include "plan/plan_io.hpp"
 #include "plan/planner.hpp"
 #include "support/rng.hpp"
@@ -372,29 +375,38 @@ TEST(ParallelExec, ChunkedRunMatchesPlanWithoutChunking)
     EXPECT_TRUE(bitwiseEqual(eChunked, eFlat));
 }
 
-TEST(ChunkProfile, CriticalPathSumsPhaseMaxima)
+/** The `exec.chunk` events of a trace-event JSON document, one string each. */
+std::vector<std::string>
+chunkEvents(const std::string &json)
 {
-    ChunkProfile profile(2);
-    EXPECT_EQ(profile.workers(), 2);
-    // Four chunks over two workers: 0,1 -> worker 0 and 2,3 -> worker 1.
-    profile.beginPhase(4);
-    profile.recordChunk(0, 1.0);
-    profile.recordChunk(1, 1.0);
-    profile.recordChunk(2, 0.5);
-    profile.recordChunk(3, 0.25);
-    EXPECT_NEAR(profile.criticalPathSeconds(), 2.0, 1e-9);
-    // A second phase folds the first and accumulates its own maximum.
-    profile.beginPhase(2);
-    profile.recordChunk(1, 0.75);
-    EXPECT_NEAR(profile.criticalPathSeconds(), 2.75, 1e-9);
-    EXPECT_NEAR(profile.totalBusySeconds(), 3.5, 1e-9);
+    std::vector<std::string> events;
+    for (std::size_t at = json.find("\n {"); at != std::string::npos;) {
+        const std::size_t next = json.find("\n {", at + 1);
+        std::string event = json.substr(at, next - at);
+        if (event.find("\"name\": \"exec.chunk\"") != std::string::npos) {
+            events.push_back(std::move(event));
+        }
+        at = next;
+    }
+    return events;
 }
 
-TEST(ChunkProfile, FusedRunProducesBalancedCriticalPath)
+/** Integer arg @p key of one trace event (-1 when absent). */
+std::int64_t
+eventArg(const std::string &event, const std::string &key)
 {
-    // A profiled fused run: the simulated critical path must lie
-    // between total-busy / workers (perfect balance) and total busy
-    // (fully serial), and a 1-worker profile must equal its own total.
+    const std::string needle = "\"" + key + "\": ";
+    const std::size_t at = event.find(needle);
+    return at == std::string::npos
+               ? -1
+               : std::stoll(event.substr(at + needle.size()));
+}
+
+TEST(ParallelExec, FusedRunRecordsOneChunkSpanPerDispatchChunk)
+{
+    // The `exec.chunk` span is the per-chunk timing record: a fused run
+    // records one per dispatch chunk, each chunk id once, each on a
+    // worker of the run's pool.
     GemmChainConfig cfg;
     cfg.batch = 4;
     cfg.m = 48;
@@ -415,28 +427,45 @@ TEST(ChunkProfile, FusedRunProducesBalancedCriticalPath)
     fillUniform(d, rng);
     Tensor e(gemmChainShapeE(cfg));
 
-    ChunkProfile quad(4);
-    {
-        ExecOptions options;
-        options.threads = 1;
-        options.profile = &quad;
+    // The global recorder is one-way and process-wide, so compare the
+    // events before and after each run instead of assuming it is empty.
+    obs::TraceRecorder *const recorder = obs::TraceRecorder::enableGlobal();
+    for (int threads : {1, 4}) {
+        const ExecOptions options{threads};
+        const int poolSize = execWorkerCount(execPool(options));
+        const std::int64_t chunks =
+            RegionWalker(chain, plan, options).chunkCount();
+        ASSERT_GE(chunks, 4) << "every worker of the 4-thread run has work";
+        std::multiset<std::string> before;
+        for (std::string &event : chunkEvents(recorder->toJson())) {
+            before.insert(std::move(event));
+        }
         runFusedGemmChain(cfg, plan, engine, a, b, d, e, options);
-    }
-    EXPECT_GT(quad.totalBusySeconds(), 0.0);
-    EXPECT_GE(quad.criticalPathSeconds(),
-              quad.totalBusySeconds() / 4.0 - 1e-12);
-    EXPECT_LE(quad.criticalPathSeconds(),
-              quad.totalBusySeconds() + 1e-12);
 
-    ChunkProfile solo(1);
-    {
-        ExecOptions options;
-        options.threads = 1;
-        options.profile = &solo;
-        runFusedGemmChain(cfg, plan, engine, a, b, d, e, options);
+        std::vector<int> seen(static_cast<std::size_t>(chunks), 0);
+        std::int64_t recorded = 0;
+        for (const std::string &event : chunkEvents(recorder->toJson())) {
+            const auto old = before.find(event);
+            if (old != before.end()) {
+                before.erase(old);
+                continue;
+            }
+            ++recorded;
+            const std::int64_t chunk = eventArg(event, "chunk");
+            ASSERT_GE(chunk, 0) << event;
+            ASSERT_LT(chunk, chunks) << event;
+            ++seen[static_cast<std::size_t>(chunk)];
+            const std::int64_t worker = eventArg(event, "worker");
+            EXPECT_GE(worker, 0) << event;
+            EXPECT_LT(worker, poolSize) << event;
+        }
+        EXPECT_EQ(recorded, chunks) << "threads " << threads;
+        for (std::int64_t c = 0; c < chunks; ++c) {
+            EXPECT_EQ(seen[static_cast<std::size_t>(c)], 1)
+                << "threads " << threads << " chunk " << c;
+        }
     }
-    EXPECT_NEAR(solo.criticalPathSeconds(), solo.totalBusySeconds(),
-                1e-12);
+    EXPECT_EQ(recorder->droppedCount(), 0);
 }
 
 TEST(ParallelExec, ExplicitPoolOverrideIsUsed)

@@ -87,6 +87,18 @@ TEST(ThreadPool, ChunksAreContiguousPerWorker)
         EXPECT_GE(workerOf[static_cast<std::size_t>(i)],
                   workerOf[static_cast<std::size_t>(i - 1)]);
     }
+    // The split is exactly staticChunkRange's, offset by the range start.
+    const std::int64_t begin = 5;
+    pool.parallelFor(begin, begin + n, [&](std::int64_t i, int worker) {
+        workerOf[static_cast<std::size_t>(i - begin)] = worker;
+    });
+    for (int w = 0; w < pool.size(); ++w) {
+        const ChunkRange range = staticChunkRange(n, pool.size(), w);
+        for (std::int64_t i = range.begin; i < range.end; ++i) {
+            EXPECT_EQ(workerOf[static_cast<std::size_t>(i)], w)
+                << "index " << i;
+        }
+    }
 }
 
 TEST(ThreadPool, EmptyAndNegativeRangesRunNothing)
@@ -251,40 +263,20 @@ TEST(StaticChunk, RangesPartitionTheTotalInOrder)
     }
 }
 
-TEST(StaticChunk, OwnerAgreesWithRanges)
-{
-    for (std::int64_t total : {1, 5, 8, 24, 103}) {
-        for (int workers : {1, 2, 4, 8, 16}) {
-            for (std::int64_t i = 0; i < total; ++i) {
-                const int owner = staticChunkOwner(i, total, workers);
-                const ChunkRange range =
-                    staticChunkRange(total, workers, owner);
-                EXPECT_TRUE(i >= range.begin && i < range.end)
-                    << "total " << total << " workers " << workers
-                    << " index " << i << " owner " << owner;
-            }
-        }
-    }
-}
-
 TEST(StaticChunk, DegenerateInputsAreEmptyOrClamped)
 {
     const ChunkRange empty = staticChunkRange(0, 4, 0);
     EXPECT_EQ(empty.begin, empty.end);
     const ChunkRange outside = staticChunkRange(8, 4, 7);
     EXPECT_EQ(outside.begin, outside.end);
-    EXPECT_EQ(staticChunkOwner(0, 0, 4), 0);
-    EXPECT_EQ(staticChunkOwner(5, 8, 0), 0);
 }
 
 TEST(StaticChunk, ExhaustivePropertySweepIncludingMoreWorkersThanWork)
 {
     // Exhaustive over the regime the dispatchers actually hit, with
-    // the edge cases that used to misbehave deliberately inside the
-    // sweep: total == 0 (everything empty, owner 0) and
-    // workers > total (the trailing workers own empty ranges, and the
-    // owner of any index — in range or clamped — must still be a
-    // worker with work, never one of the empty tails).
+    // the edge cases deliberately inside the sweep: total == 0
+    // (everything empty) and workers > total (the trailing workers own
+    // empty ranges).
     for (std::int64_t total = 0; total <= 40; ++total) {
         for (int workers = 1; workers <= 48; ++workers) {
             std::int64_t next = 0;
@@ -303,29 +295,6 @@ TEST(StaticChunk, ExhaustivePropertySweepIncludingMoreWorkersThanWork)
                 next = range.end;
             }
             ASSERT_EQ(next, total);
-
-            for (std::int64_t index = -3; index <= total + 3; ++index) {
-                const int owner =
-                    staticChunkOwner(index, total, workers);
-                ASSERT_GE(owner, 0);
-                ASSERT_LT(owner, workers);
-                const ChunkRange range =
-                    staticChunkRange(total, workers, owner);
-                if (index >= 0 && index < total) {
-                    ASSERT_TRUE(index >= range.begin &&
-                                index < range.end)
-                        << "total " << total << " workers " << workers
-                        << " index " << index << " owner " << owner;
-                } else if (total > 0) {
-                    // Clamped: still a worker that owns real work.
-                    ASSERT_LT(range.begin, range.end)
-                        << "owner of a clamped index must be non-empty:"
-                        << " total " << total << " workers " << workers
-                        << " index " << index << " owner " << owner;
-                } else {
-                    ASSERT_EQ(owner, 0);
-                }
-            }
         }
     }
 }
