@@ -101,7 +101,13 @@ expect_rule SB03 1 "$CHECK" gemm 1 4300000000 4300000000 64 64 \
 # sb04: l is a reduction axis of the second gemm; marking it parallel
 # has no shape-generic disjointness proof.
 expect_rule SB04 1 "$CHECK" gemm 1 64 64 64 64 --static \
-    --plan tests/fixtures/sb04_race_parallel_l.plan
+    --plan tests/fixtures/race_parallel_l.plan
+# Plain verification runs the same SB pass, so both seeded-race
+# fixtures are refuted statically without --static or --race.
+expect_rule SB04 1 "$CHECK" gemm 1 64 64 64 64 \
+    --plan tests/fixtures/race_parallel_l.plan
+expect_rule SB04 1 "$CHECK" conv 1 16 16 16 16 16 3 3 1 1 \
+    --plan tests/fixtures/race_parallel_oc1.plan
 
 echo "== pruned order search must replay exactly =="
 search_clean() {

@@ -1,5 +1,7 @@
 #include "analysis/dependence.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 #include "support/mathutil.hpp"
 
@@ -25,33 +27,38 @@ rankOf(AxisConcurrency kind)
 /**
  * Write-write conflict test for axis @p axis on one access dimension of
  * an output tensor: true when advancing the block index of the axis
- * shifts the written window by at least the window's width.
+ * shifts the written window by at least the window's width, which
+ * spans the other axes' @p extents.
  */
 bool
-blocksDisjointAlongDim(const Chain &chain, const ir::AccessDim &dim,
-                       AxisId axis, const std::vector<std::int64_t> &tiles)
+blocksDisjointAlongDim(const ir::AccessDim &dim, AxisId axis,
+                       std::int64_t tile,
+                       const std::vector<std::int64_t> &extents)
 {
+    bool overflow = false;
     std::int64_t step = 0;
     std::int64_t width = 1;
     for (const ir::AccessTerm &term : dim.terms) {
         if (term.axis == axis) {
-            step = term.coeff * tiles[static_cast<std::size_t>(axis)];
-            width +=
-                term.coeff * (tiles[static_cast<std::size_t>(axis)] - 1);
+            step = checkedMul(term.coeff, tile, overflow);
+            width = checkedAdd(
+                width, checkedMul(term.coeff, tile - 1, overflow), overflow);
         } else {
-            width += term.coeff *
-                     (chain.axes()[static_cast<std::size_t>(term.axis)]
-                          .extent -
-                      1);
+            width = checkedAdd(
+                width,
+                checkedMul(term.coeff,
+                           extents[static_cast<std::size_t>(term.axis)] - 1,
+                           overflow),
+                overflow);
         }
     }
-    return step >= width;
+    return !overflow && step >= width;
 }
 
 /** Per-operator classification of @p axis (the op must use the axis). */
 AxisClassification
 classifyForOp(const Chain &chain, const ir::OpDecl &op, AxisId axis,
-              const std::vector<std::int64_t> &tiles)
+              std::int64_t tile, const std::vector<std::int64_t> &extents)
 {
     const std::string &axisName =
         chain.axes()[static_cast<std::size_t>(axis)].name;
@@ -66,11 +73,7 @@ classifyForOp(const Chain &chain, const ir::OpDecl &op, AxisId axis,
         return cls;
     }
 
-    const std::int64_t extent =
-        chain.axes()[static_cast<std::size_t>(axis)].extent;
-    const std::int64_t blocks =
-        ceilDiv(extent, tiles[static_cast<std::size_t>(axis)]);
-    if (blocks <= 1) {
+    if (ceilDiv(extents[static_cast<std::size_t>(axis)], tile) <= 1) {
         cls.kind = AxisConcurrency::Parallel;
         cls.reason = "single block covers the full extent of " + axisName;
         return cls;
@@ -78,7 +81,7 @@ classifyForOp(const Chain &chain, const ir::OpDecl &op, AxisId axis,
 
     for (const ir::AccessDim &dim : out.dims) {
         if (dim.usesAxis(axis) &&
-            blocksDisjointAlongDim(chain, dim, axis, tiles)) {
+            blocksDisjointAlongDim(dim, axis, tile, extents)) {
             cls.kind = AxisConcurrency::Parallel;
             cls.reason = "distinct " + axisName + " blocks write disjoint " +
                          out.name + " indices";
@@ -171,8 +174,18 @@ ConcurrencyTable
 analyzeConcurrency(const Chain &chain,
                    const std::vector<std::int64_t> &tiles)
 {
-    CHIMERA_CHECK(static_cast<int>(tiles.size()) == chain.numAxes(),
-                  "concurrency analysis needs one tile per axis");
+    return analyzeConcurrency(chain, tiles, chain.fullExtents());
+}
+
+ConcurrencyTable
+analyzeConcurrency(const Chain &chain,
+                   const std::vector<std::int64_t> &tiles,
+                   const std::vector<std::int64_t> &extents)
+{
+    CHIMERA_CHECK(static_cast<int>(tiles.size()) == chain.numAxes() &&
+                      static_cast<int>(extents.size()) == chain.numAxes(),
+                  "concurrency analysis needs one tile and one extent per "
+                  "axis");
 
     ConcurrencyTable table;
     table.axes.resize(static_cast<std::size_t>(chain.numAxes()));
@@ -186,8 +199,11 @@ analyzeConcurrency(const Chain &chain,
             if (!op.usesLoop(a)) {
                 continue;
             }
-            const AxisClassification opCls =
-                classifyForOp(chain, op, a, tiles);
+            const AxisClassification opCls = classifyForOp(
+                chain, op, a,
+                std::max<std::int64_t>(1,
+                                       tiles[static_cast<std::size_t>(a)]),
+                extents);
             if (!used || rankOf(opCls.kind) > rankOf(cls.kind)) {
                 cls.kind = opCls.kind;
                 cls.reason = opCls.reason;
@@ -200,25 +216,25 @@ analyzeConcurrency(const Chain &chain,
     // last access dimension: every block of an axis in that dimension
     // contributes to the same per-row totals, so those axes cannot run
     // in parallel even though the operator-level write sets are disjoint.
+    // The coupling is named in the reason even when an operator already
+    // made the axis a reduction.
     if (chain.intermediateEpilogue() == ir::Epilogue::Softmax) {
         for (const ir::TensorDecl &tensor : chain.tensors()) {
             if (tensor.kind != ir::TensorKind::Intermediate ||
                 tensor.dims.empty()) {
                 continue;
             }
-            const ir::AccessDim &rowDim = tensor.dims.back();
-            for (const ir::AccessTerm &term : rowDim.terms) {
+            for (const ir::AccessTerm &term : tensor.dims.back().terms) {
                 AxisClassification &cls =
                     table.axes[static_cast<std::size_t>(term.axis)];
-                cls.epilogueInduced = true;
+                const std::string coupling =
+                    "softmax row normalization accumulates across " +
+                    chain.axisName(term.axis) + " blocks of " + tensor.name;
                 if (cls.kind == AxisConcurrency::Parallel) {
                     cls.kind = AxisConcurrency::Reduction;
-                    cls.reason = "softmax row normalization accumulates "
-                                 "across " +
-                                 chain.axes()[static_cast<std::size_t>(
-                                                  term.axis)]
-                                     .name +
-                                 " blocks of " + tensor.name;
+                    cls.reason = coupling;
+                } else {
+                    cls.reason += "; " + coupling;
                 }
             }
         }

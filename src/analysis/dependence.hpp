@@ -37,6 +37,14 @@
  * coeff_a * T_a, so blocks are disjoint along the dimension iff
  *     coeff_a * T_a >= width.
  * One disjoint dimension suffices: the written index tuples differ.
+ * The arithmetic is overflow-checked; a width that overflows int64
+ * proves nothing.
+ *
+ * The extents are a parameter: the chain's own by default, or a shape
+ * domain's upper extents, where every width is largest. The step is
+ * shape-free, so Parallel at the upper extents means Parallel for
+ * every smaller shape — the static safety analyzer's SB04 rule is
+ * exactly that evaluation.
  *
  * Overlapping writes to an *intermediate* tensor are exempt: the fused
  * executors privatize intermediate regions per worker and recompute
@@ -44,7 +52,7 @@
  *
  * A softmax epilogue adds a row-sum accumulation across the
  * intermediate's last access dimension; axes in that dimension are
- * forced down to at least Reduction and flagged epilogueInduced.
+ * forced down to at least Reduction.
  */
 
 #include <cstdint>
@@ -78,9 +86,6 @@ struct AxisClassification
 {
     AxisConcurrency kind = AxisConcurrency::Parallel;
 
-    /** True when a softmax row accumulation forced the class down. */
-    bool epilogueInduced = false;
-
     /** Human-readable justification from the decisive operator. */
     std::string reason;
 };
@@ -103,10 +108,15 @@ struct ConcurrencyTable
 
 /**
  * Classifies every axis of @p chain under block tiling @p tiles (one
- * tile per axis, each within [1, extent]; the planner, the strict plan
- * deserializer and the verifier all validate tiles first). Axes used
- * by no operator classify Parallel trivially.
+ * tile per axis; a tile below 1 counts as 1), with block counts and
+ * window widths evaluated at @p extents (one per axis). Axes used by
+ * no operator classify Parallel trivially.
  */
+ConcurrencyTable analyzeConcurrency(const ir::Chain &chain,
+                                    const std::vector<std::int64_t> &tiles,
+                                    const std::vector<std::int64_t> &extents);
+
+/** analyzeConcurrency at the chain's own extents. */
 ConcurrencyTable analyzeConcurrency(const ir::Chain &chain,
                                     const std::vector<std::int64_t> &tiles);
 

@@ -1,7 +1,6 @@
 #include "analysis/static_safety.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "support/error.hpp"
 #include "support/mathutil.hpp"
@@ -14,36 +13,6 @@ using ir::AxisId;
 using ir::Chain;
 
 namespace {
-
-constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
-constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
-
-/** Clamps a 128-bit value into int64, recording saturation in @p ovf. */
-std::int64_t
-clamp128(__int128 v, bool &ovf)
-{
-    if (v > static_cast<__int128>(kInt64Max)) {
-        ovf = true;
-        return kInt64Max;
-    }
-    if (v < static_cast<__int128>(kInt64Min)) {
-        ovf = true;
-        return kInt64Min;
-    }
-    return static_cast<std::int64_t>(v);
-}
-
-std::int64_t
-checkedAdd(std::int64_t a, std::int64_t b, bool &ovf)
-{
-    return clamp128(static_cast<__int128>(a) + static_cast<__int128>(b), ovf);
-}
-
-std::int64_t
-checkedMul(std::int64_t a, std::int64_t b, bool &ovf)
-{
-    return clamp128(static_cast<__int128>(a) * static_cast<__int128>(b), ovf);
-}
 
 /** Joins int64 values with commas ("16,8,1"). */
 std::string
@@ -76,20 +45,16 @@ mulRanges(const SymRange &a, const SymRange &b)
 {
     SymRange out;
     out.overflow = a.overflow || b.overflow;
-    const __int128 products[4] = {
-        static_cast<__int128>(a.lo) * static_cast<__int128>(b.lo),
-        static_cast<__int128>(a.lo) * static_cast<__int128>(b.hi),
-        static_cast<__int128>(a.hi) * static_cast<__int128>(b.lo),
-        static_cast<__int128>(a.hi) * static_cast<__int128>(b.hi),
+    // Saturation is monotone, so the bounds of the saturated products
+    // are the saturated bounds of the exact ones.
+    const std::int64_t products[4] = {
+        checkedMul(a.lo, b.lo, out.overflow),
+        checkedMul(a.lo, b.hi, out.overflow),
+        checkedMul(a.hi, b.lo, out.overflow),
+        checkedMul(a.hi, b.hi, out.overflow),
     };
-    __int128 lo = products[0];
-    __int128 hi = products[0];
-    for (int i = 1; i < 4; ++i) {
-        lo = std::min(lo, products[i]);
-        hi = std::max(hi, products[i]);
-    }
-    out.lo = clamp128(lo, out.overflow);
-    out.hi = clamp128(hi, out.overflow);
+    out.lo = *std::min_element(products, products + 4);
+    out.hi = *std::max_element(products, products + 4);
     return out;
 }
 
@@ -493,109 +458,27 @@ checkOverflow(Pass &p, std::int64_t maxLiveBytes, bool liveOverflow)
 }
 
 /**
- * SB04: shape-generic disjointness for every parallel-marked axis.
- * The dynamic test (dependence.cpp) proves step >= width at one
- * concrete shape; here the width is evaluated at the domain's *upper*
- * extents, where it is largest — step = coeff_a * T_a is shape-free,
- * so step >= width(hi) implies disjoint windows for every admissible
- * shape. Reduction facts (output map missing the axis) and softmax
- * row coupling are shape-independent, so a parallel mark on such an
- * axis is refuted outright.
+ * SB04: every parallel-marked axis must classify Parallel under
+ * analyzeConcurrency at the domain's *upper* extents. The classifier's
+ * window width only grows with the extents while its block step
+ * coeff_a * T_a is shape-free, and reduction and softmax-coupling facts
+ * do not depend on the shape, so Parallel at the upper extents implies
+ * Parallel for every admissible shape.
  */
 void
-checkDisjointness(Pass &p)
+checkDisjointness(Pass &p, const ConcurrencyTable &atUpper)
 {
     for (AxisId axis = 0; axis < p.chain.numAxes(); ++axis) {
         const std::size_t ai = static_cast<std::size_t>(axis);
-        if (p.kinds[ai] != AxisConcurrency::Parallel) {
-            continue; // reduction/sequential axes run serially
+        if (p.kinds[ai] != AxisConcurrency::Parallel ||
+            atUpper.isParallel(axis)) {
+            continue;
         }
-        const std::int64_t tile = std::max<std::int64_t>(1, p.tiles[ai]);
-        for (const ir::OpDecl &op : p.chain.ops()) {
-            if (!op.usesLoop(axis)) {
-                continue;
-            }
-            const ir::TensorDecl &out =
-                p.chain.tensors()[static_cast<std::size_t>(
-                    op.outputTensorId)];
-            if (!out.usesAxis(axis)) {
-                p.add(SafetyRule::SB04, op.name,
-                      "axis " + p.chain.axisName(axis) +
-                          " is marked parallel but " + op.name +
-                          " accumulates into " + out.name +
-                          ", whose access map does not use it (a "
-                          "shape-independent reduction)");
-                continue;
-            }
-            if (ceilDiv(p.domain.hi[ai], tile) <= 1) {
-                continue; // one block over the whole domain
-            }
-            bool disjoint = false;
-            for (const ir::AccessDim &dim : out.dims) {
-                if (!dim.usesAxis(axis)) {
-                    continue;
-                }
-                bool ovf = false;
-                std::int64_t step = 0;
-                std::int64_t width = 1;
-                for (const ir::AccessTerm &term : dim.terms) {
-                    const std::size_t ti =
-                        static_cast<std::size_t>(term.axis);
-                    if (term.axis == axis) {
-                        step = checkedMul(term.coeff, tile, ovf);
-                        width = checkedAdd(
-                            width, checkedMul(term.coeff, tile - 1, ovf),
-                            ovf);
-                    } else {
-                        width = checkedAdd(
-                            width,
-                            checkedMul(term.coeff, p.domain.hi[ti] - 1,
-                                       ovf),
-                            ovf);
-                    }
-                }
-                if (!ovf && step >= width) {
-                    disjoint = true;
-                    break;
-                }
-            }
-            if (disjoint) {
-                continue;
-            }
-            if (out.kind == ir::TensorKind::Intermediate) {
-                // Halo recompute: overlapping intermediate windows are
-                // privatized per worker — redundant FLOPs, no race.
-                continue;
-            }
-            p.add(SafetyRule::SB04, op.name,
-                  "axis " + p.chain.axisName(axis) +
-                      " is marked parallel but distinct blocks can write "
-                      "overlapping " +
-                      out.name + " indices for shapes up to the domain's "
-                                 "upper extents");
-        }
-    }
-
-    // Softmax row normalization couples every block of the row axes of
-    // the intermediate's last access dimension for *every* shape.
-    if (p.chain.intermediateEpilogue() == ir::Epilogue::Softmax) {
-        for (const ir::TensorDecl &tensor : p.chain.tensors()) {
-            if (tensor.kind != ir::TensorKind::Intermediate ||
-                tensor.dims.empty()) {
-                continue;
-            }
-            for (const ir::AccessTerm &term : tensor.dims.back().terms) {
-                const std::size_t ti = static_cast<std::size_t>(term.axis);
-                if (p.kinds[ti] == AxisConcurrency::Parallel) {
-                    p.add(SafetyRule::SB04, tensor.name,
-                          "axis " + p.chain.axisName(term.axis) +
-                              " is marked parallel but the softmax row "
-                              "normalization accumulates across its "
-                              "blocks of " +
-                              tensor.name);
-                }
-            }
-        }
+        p.add(SafetyRule::SB04, "axis " + p.chain.axisName(axis),
+              std::string("marked parallel but classifies ") +
+                  concurrencyName(atUpper.kindOf(axis)) +
+                  " at the domain's upper extents: " +
+                  atUpper.axes[ai].reason);
     }
 }
 
@@ -649,7 +532,8 @@ analyzeSafety(const Chain &chain, const std::vector<AxisId> &perm,
     }
     {
         const WallTimer t;
-        checkDisjointness(pass);
+        analysis.concurrency = analyzeConcurrency(chain, tiles, domain.hi);
+        checkDisjointness(pass, analysis.concurrency);
         analysis.ruleSeconds[3] = t.seconds();
     }
 

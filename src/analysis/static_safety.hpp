@@ -27,13 +27,11 @@
  *    aggregate per-worker workspace allocation — stays within int64 at
  *    the domain's upper extents, established by interval analysis in
  *    128-bit arithmetic.
- *  - SB04 (race freedom): every parallel-marked axis has symbolically
- *    disjoint output windows for all shapes in the domain — the
- *    shape-independent promotion of the dependence analyzer's
- *    per-shape disjointness test (coeff_a*T_a >= width, with the width
- *    evaluated at the domain's *upper* extents where it is largest,
- *    and the same intermediate halo-recompute exemption and softmax
- *    row-coupling rules as analyzeConcurrency).
+ *  - SB04 (race freedom): every parallel-marked axis classifies
+ *    Parallel under analyzeConcurrency evaluated at the domain's
+ *    *upper* extents, where every window width is largest, so its
+ *    output windows are disjoint for all shapes in the domain. The
+ *    classifier's reason is the finding text.
  *
  * A clean analysis yields a SafetyCertificate that the planner attaches
  * to the winning plan, the v2 plan document serializes as a `safety:`
@@ -173,6 +171,12 @@ struct SafetyAnalysis
 
     /** certified == violations.empty(); always carries domain/digest. */
     SafetyCertificate certificate;
+
+    /**
+     * analyzeConcurrency at the domain's upper extents: the
+     * classification SB04 checks the parallel marks against.
+     */
+    ConcurrencyTable concurrency;
 
     /** Wall seconds spent per rule (SB01..SB04), for overhead reports. */
     double ruleSeconds[kNumSafetyRules] = {0.0, 0.0, 0.0, 0.0};

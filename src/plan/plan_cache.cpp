@@ -68,13 +68,10 @@ optionsSignature(const PlannerOptions &options)
             out += capBytes;
         }
     }
-    // Static-safety knobs, emitted only when non-default so every
+    // The safety domain, emitted only when non-default so every
     // fingerprint minted before the analyzer existed stays valid (old
     // entries deserialize as uncertified and are re-certified by the
     // consumers that require a certificate).
-    if (!options.staticSafety) {
-        out += ";sb=0";
-    }
     if (!options.safetyDomain.empty()) {
         out += ";sbdom=";
         for (const auto &[axis, maxExtent] : options.safetyDomain) {

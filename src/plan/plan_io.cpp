@@ -409,10 +409,6 @@ bindPlanDocument(const ir::Chain &chain, const ParsedPlanDoc &doc,
         } catch (const Error &e) {
             defects.error("PL12", "concurrency", e.what());
         }
-    } else if (doc.version >= 2) {
-        defects.note("DP06", "concurrency",
-                     "v2 document declares no concurrency table; the"
-                     " loader falls back to fresh dependence analysis");
     }
 
     // Thread-aware chunking lines: a grain only makes sense relative to

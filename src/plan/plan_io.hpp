@@ -40,9 +40,10 @@
  * when present it must cover every chain axis exactly once with a
  * known kind, and axes the chain does not have are rejected outright.
  * Whether the declared classes *agree* with a fresh analysis is the
- * verifier's job (DP rules), not the binder's: chimera-check needs
- * mis-declared documents to load so its dynamic race checker can
- * demonstrate the conflict.
+ * verifier's job (SB04 refutes an axis marked parallel without a
+ * disjointness proof; DP04 warns about a proven-parallel axis declared
+ * serial), not the binder's: chimera-check needs mis-declared documents
+ * to load so its dynamic race checker can demonstrate the conflict.
  *
  * The safety line is the plan's one certificate (SB01-SB04, see
  * analysis/static_safety.hpp): the shape domain all four rules were
@@ -157,13 +158,12 @@ ParsedPlanDoc parsePlanDocument(const std::string &text);
  *          covering every chain axis
  *  - PL13  a grain line without a threads line
  *  - PL14  a malformed safety line (fields, domain, digest shape)
- *  - DP06  (note) a v2 document without a concurrency line
  *
  * It does not judge values: the bound perm may repeat an axis and the
- * tiles may be out of range, and the DP rules and the certificate's
- * digest are not checked. deserializePlan throws the first defect and
- * validates; verify::verifyPlanDocument reports them all and verifies
- * the bound plan.
+ * tiles may be out of range, and neither the declared concurrency nor
+ * the certificate's digest is checked. deserializePlan throws the
+ * first defect and validates; verify::verifyPlanDocument reports them
+ * all and verifies the bound plan.
  *
  * In the bound plan, perm (tiles) is empty when the order (tiles) line
  * does not bind; concurrency is empty when the document declares none

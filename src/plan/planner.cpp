@@ -541,17 +541,13 @@ planChainUncached(const Chain &chain, const PlannerOptions &options)
         analysis::analyzeConcurrency(chain, best.tiles).kinds();
     applyThreadChunking(chain, best, options, constraints, solverOptions,
                         /*allowRefinement=*/true);
-    if (options.staticSafety) {
-        // Certification failures do not fail planning: the plan is
-        // returned without a certificate (and without a `safety:`
-        // document line); gates that require one re-check downstream.
-        const analysis::SafetyAnalysis sa =
-            certifyPlan(chain, options, best);
-        if (!sa.certificate.certified) {
-            CHIMERA_DEBUG("static safety refuted for "
-                          << chain.name() << ": "
-                          << sa.renderViolations());
-        }
+    // Certification failures do not fail planning: the plan is returned
+    // without a certificate (and without a `safety:` document line);
+    // gates that require one re-check downstream.
+    const analysis::SafetyAnalysis sa = certifyPlan(chain, options, best);
+    if (!sa.certificate.certified) {
+        CHIMERA_DEBUG("static safety refuted for "
+                      << chain.name() << ": " << sa.renderViolations());
     }
     best.search = stats;
     best.planSeconds = timer.seconds();
@@ -696,9 +692,7 @@ planFixedOrder(const Chain &chain, const std::vector<AxisId> &perm,
     // refinement (the planner's edge in the scaling comparison).
     applyThreadChunking(chain, plan, options, constraints, solverOptions,
                         /*allowRefinement=*/false);
-    if (options.staticSafety) {
-        (void)certifyPlan(chain, options, plan);
-    }
+    (void)certifyPlan(chain, options, plan);
     plan.planSeconds = timer.seconds();
     if (options.verify) {
         // Baselines pin deliberately non-executable orders; only the

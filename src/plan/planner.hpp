@@ -69,10 +69,11 @@ struct ExecutionPlan
 
     /**
      * Static-safety certificate (SB01-SB04) attached by the planner
-     * when PlannerOptions::staticSafety proves the schedule safe over
-     * the configured shape domain. Serialized as the v2 `safety:`
-     * document line when certified; default-constructed (uncertified)
-     * on hand-assembled plans and documents without the line.
+     * when the analyzer proves the schedule safe over the configured
+     * shape domain (PlannerOptions::safetyDomain). Serialized as the
+     * v2 `safety:` document line when certified; default-constructed
+     * (uncertified) on hand-assembled plans and documents without the
+     * line.
      */
     analysis::SafetyCertificate safety;
 
@@ -173,16 +174,6 @@ struct PlannerOptions
      * worker count (or at least this many chunks per worker).
      */
     int chunksPerWorker = 4;
-
-    /**
-     * Run the static safety analyzer (SB01-SB04) on every winning plan
-     * and attach the resulting certificate. On by default: the pass
-     * costs well under 1% of cold planning time (fig5 reports the
-     * ratio) and uncertified plans simply carry no `safety:` line —
-     * violations never fail planning. Part of the cache key only when
-     * disabled.
-     */
-    bool staticSafety = true;
 
     /**
      * Shape-domain widening for the certificate: axis name -> maximum

@@ -44,9 +44,6 @@ PlannerGate::ensureCertified(const ir::Chain &chain,
                              const plan::PlannerOptions &po,
                              plan::ExecutionPlan &plan)
 {
-    if (!options_.requireCertified) {
-        return;
-    }
     if (!plan.safety.certified) {
         // Cache entries written before the analyzer existed carry no
         // `safety:` line; prove them now rather than refusing them.

@@ -55,16 +55,6 @@ struct PlannerGateOptions
 
     /** Audit winning plans with the legality verifier. */
     bool verifyPlans = false;
-
-    /**
-     * Serve only plans carrying a valid SB01-SB04 safety certificate.
-     * Cache entries minted before the analyzer existed load uncertified
-     * and are re-certified in place; a plan the analyzer refuses is not
-     * served. This is what lets the daemon keep the dynamic race
-     * checker off: SB04's shape-generic disjointness proof covers every
-     * admissible batch, not just the shapes replayed so far.
-     */
-    bool requireCertified = true;
 };
 
 /** Counters exposed through the daemon's stats document. */
@@ -128,7 +118,7 @@ class PlannerGate
     plan::PlannerOptions plannerOptions(const ir::Chain &chain) const;
 
     /**
-     * Enforces options_.requireCertified on a plan about to be served:
+     * Serves only plans carrying a valid SB01-SB04 safety certificate:
      * already-certified plans pass through (counted), uncertified ones
      * (pre-analyzer cache entries) get one re-certification attempt,
      * and plans the analyzer refutes raise Error with the violations —

@@ -348,11 +348,11 @@ Server::executorLoop()
     }
     exec::ExecOptions execOptions;
     execOptions.threads = std::max(1, options_.execThreads);
-    // execOptions.raceCheck stays nullptr in the daemon: the gate's
-    // requireCertified policy only serves plans whose SB04 certificate
-    // proves shape-generic disjointness of the parallel axes, so the
-    // per-run shadow-memory scan (RC01) would re-prove statically
-    // settled facts at ~2x execution cost on every request.
+    // execOptions.raceCheck stays nullptr in the daemon: the gate only
+    // serves plans whose SB04 certificate proves shape-generic
+    // disjointness of the parallel axes, so the per-run shadow-memory
+    // scan (RC01) would re-prove statically settled facts at ~2x
+    // execution cost on every request.
     const auto now = [this] { return nowSeconds(); };
     while (true) {
         std::vector<ServeJob> group;

@@ -2,10 +2,46 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "support/error.hpp"
 
 namespace chimera {
+
+namespace {
+
+/** Clamps a 128-bit value into int64, recording saturation. */
+std::int64_t
+clamp128(__int128 v, bool &overflow)
+{
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    if (v > static_cast<__int128>(kMax)) {
+        overflow = true;
+        return kMax;
+    }
+    if (v < static_cast<__int128>(kMin)) {
+        overflow = true;
+        return kMin;
+    }
+    return static_cast<std::int64_t>(v);
+}
+
+} // namespace
+
+std::int64_t
+checkedAdd(std::int64_t a, std::int64_t b, bool &overflow)
+{
+    return clamp128(static_cast<__int128>(a) + static_cast<__int128>(b),
+                    overflow);
+}
+
+std::int64_t
+checkedMul(std::int64_t a, std::int64_t b, bool &overflow)
+{
+    return clamp128(static_cast<__int128>(a) * static_cast<__int128>(b),
+                    overflow);
+}
 
 std::vector<std::int64_t>
 divisorsOf(std::int64_t n)

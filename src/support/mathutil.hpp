@@ -32,6 +32,16 @@ clampI64(std::int64_t v, std::int64_t lo, std::int64_t hi)
     return v < lo ? lo : (v > hi ? hi : v);
 }
 
+/**
+ * Saturating int64 addition: on overflow returns the saturated bound and
+ * sets @p overflow (which is never cleared). Index arithmetic in the
+ * static analyses treats a saturated value as "no proof".
+ */
+std::int64_t checkedAdd(std::int64_t a, std::int64_t b, bool &overflow);
+
+/** Saturating int64 multiplication; see checkedAdd. */
+std::int64_t checkedMul(std::int64_t a, std::int64_t b, bool &overflow);
+
 /** Returns all positive divisors of @p n in ascending order. */
 std::vector<std::int64_t> divisorsOf(std::int64_t n);
 

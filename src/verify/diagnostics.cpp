@@ -61,14 +61,8 @@ publishedRules()
         {"KP02", "KP", "micro-kernel structure: MII < 2 or MII !| MI",
          true},
         {"KP03", "KP", "micro-kernel parameter not positive", true},
-        {"DP01", "DP", "concurrency table arity mismatch", true},
-        {"DP02", "DP", "axis declared parallel is a reduction axis", true},
-        {"DP03", "DP", "axis declared parallel/reduction is sequential",
-         true},
         {"DP04", "DP", "over-serialization of a proven-parallel axis",
          true},
-        {"DP05", "DP", "epilogue-coupled axis declared parallel", true},
-        {"DP06", "DP", "v2 document carries no concurrency table", true},
         {"RC01", "RC", "shadow-memory write conflict observed at runtime",
          false},
         {"SB01", "SB", "block window escapes tensor extents for an"

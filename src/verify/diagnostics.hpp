@@ -67,7 +67,7 @@ struct RuleInfo
 
 /**
  * The complete published rule-id registry, in family order (CH01-07,
- * PL01-14, KP01-03, DP01-06, RC01, SB01-04, OE01-03). Tests golden-list this
+ * PL01-14, KP01-03, DP04, RC01, SB01-04, OE01-03). Tests golden-list this
  * set so renames and accidental drops become failures; tooling can use
  * it to validate grep patterns.
  */

@@ -7,7 +7,6 @@
 #include "model/data_movement.hpp"
 #include "support/error.hpp"
 #include "support/mathutil.hpp"
-#include "verify/concurrency_verifier.hpp"
 #include "verify/safety_verifier.hpp"
 
 namespace chimera::verify {
@@ -181,8 +180,10 @@ checkSchedule(const Chain &chain, const std::vector<AxisId> &perm,
  * PL13 structural checks of a chunking declaration: grain arity,
  * positivity, and Parallel-only grains (> 1 on a reduction/sequential
  * axis would regroup its serial walk). @p kinds must have chain arity.
+ * Returns false when the grain vector has the wrong arity (nothing
+ * downstream can index it).
  */
-void
+bool
 checkChunking(const Chain &chain, int plannedThreads,
               const std::vector<std::int64_t> &grain,
               const std::vector<analysis::AxisConcurrency> &kinds,
@@ -194,14 +195,14 @@ checkChunking(const Chain &chain, int plannedThreads,
                          std::to_string(plannedThreads) + " must be >= 1");
     }
     if (grain.empty()) {
-        return;
+        return true;
     }
     if (static_cast<int>(grain.size()) != chain.numAxes()) {
         report.error("PL13", "grain",
                      "grain vector has " + std::to_string(grain.size()) +
                          " entries but the chain has " +
                          std::to_string(chain.numAxes()) + " axes");
-        return;
+        return false;
     }
     for (AxisId a = 0; a < chain.numAxes(); ++a) {
         const std::int64_t g = grain[static_cast<std::size_t>(a)];
@@ -222,6 +223,7 @@ checkChunking(const Chain &chain, int plannedThreads,
                     " chunked");
         }
     }
+    return true;
 }
 
 /**
@@ -246,6 +248,39 @@ checkPerWorkerShare(std::int64_t memUsageBytes, int workers,
                 " workers' share (" + formatDouble(share) +
                 " B) of machine " + topology.name +
                 "'s tightest shared level");
+    }
+}
+
+/**
+ * DP04: an axis @p declared reduction or sequential that @p derived
+ * (the SB pass's classification) proves parallel is sound but
+ * serializes independent work. Executors ignore a table without one
+ * entry per axis (hand-assembled plans, documents without a concurrency
+ * line) and analyze fresh, so there is nothing to compare.
+ */
+void
+checkOverSerialization(const Chain &chain,
+                       const std::vector<analysis::AxisConcurrency> &declared,
+                       const analysis::ConcurrencyTable &derived,
+                       Report &report)
+{
+    if (static_cast<int>(declared.size()) != chain.numAxes()) {
+        return;
+    }
+    for (AxisId a = 0; a < chain.numAxes(); ++a) {
+        const analysis::AxisConcurrency want =
+            declared[static_cast<std::size_t>(a)];
+        if (want == analysis::AxisConcurrency::Parallel ||
+            !derived.isParallel(a)) {
+            continue;
+        }
+        report.warning("DP04", "concurrency." + chain.axisName(a),
+                       "axis " + chain.axisName(a) + " is declared " +
+                           analysis::concurrencyName(want) +
+                           " but the analysis proves it parallel — sound,"
+                           " but over-serialized (" +
+                           derived.axes[static_cast<std::size_t>(a)].reason +
+                           ")");
     }
 }
 
@@ -290,30 +325,29 @@ checkExecutionPlan(const Chain &chain, const plan::ExecutionPlan &plan,
     }
     checkDeclaredPredictions(*dm, plan.predictedVolumeBytes, haveVolume,
                              plan.memUsageBytes, haveMem, report);
-    // Plans without a table (hand-assembled, or documents without a
-    // concurrency line) get fresh analysis at execution time, so there
-    // is nothing to disagree with.
-    if (!plan.concurrency.empty()) {
-        report.merge(verifyConcurrency(chain, plan.tiles, plan.concurrency));
-    }
     // PL13: chunking structure against the classes the executors will
     // actually obey, then the per-worker LLC share.
-    checkChunking(chain, plan.plannedThreads, plan.parallelGrain,
-                  plan::effectiveConcurrency(chain, plan), report);
+    const bool grainOk =
+        checkChunking(chain, plan.plannedThreads, plan.parallelGrain,
+                      plan::effectiveConcurrency(chain, plan), report);
     const int workers = plan.plannedThreads > 1 ? plan.plannedThreads
                                                 : options.plannedThreads;
     checkPerWorkerShare(dm->memUsageBytes, workers, options.topology,
                         report);
-    // PL14 + SB: a certified plan must survive digest recompute and an
-    // analyzer re-run (PlanCache lookups audit through here, so tampered
-    // certificates in cache entries are rejected on load).
-    if (plan.safety.certified) {
-        SafetyVerifyOptions so;
-        so.memCapacityBytes = options.memCapacityBytes;
-        so.topology = options.topology;
-        so.workers = workers;
-        report.merge(verifySafetyCertificate(chain, plan, so));
+    if (!grainOk) {
+        return dm;
     }
+    // One SB pass per plan: PL14's re-proof over a certified plan's own
+    // domain, else the concrete shape. SB04 is what refutes a table that
+    // marks parallel an axis the dependence analysis does not prove
+    // parallel (PlanCache lookups audit through here too).
+    SafetyVerifyOptions so;
+    so.memCapacityBytes = options.memCapacityBytes;
+    so.topology = options.topology;
+    so.workers = workers;
+    analysis::SafetyAnalysis sa;
+    report.merge(verifySafety(chain, plan, so, &sa));
+    checkOverSerialization(chain, plan.concurrency, sa.concurrency, report);
     return dm;
 }
 

@@ -37,10 +37,7 @@
  *          tiles not nested inside the enclosing level's tiles
  *  - PL12  document concurrency binding defect: unknown axis, unknown
  *          kind, duplicate entry, or incomplete axis coverage (recorded
- *          by plan::bindPlanDocument; the DP01-DP05 rules comparing a
- *          bound table against fresh dependence analysis live in
- *          concurrency_verifier.hpp and run as part of
- *          verifyExecutionPlan / verifyPlanDocument)
+ *          by plan::bindPlanDocument)
  *  - PL13  thread-aware chunking defect: plannedThreads < 1, a grain
  *          vector of the wrong arity or with non-positive entries, a
  *          grain > 1 on an axis the dependence analysis did not prove
@@ -53,9 +50,15 @@
  *          malformed fields, a domain naming unknown axes, a digest
  *          that does not match the bound chain + schedule, or a
  *          certificate the re-run analyzer refutes (see
- *          safety_verifier.hpp; the SB01-SB04 rules themselves live
- *          there and run as part of verifyExecutionPlan /
- *          verifyPlanDocument on certified plans)
+ *          safety_verifier.hpp)
+ *  - SB01-SB04  the static safety rules (safety_verifier.hpp), run
+ *          once on every plan: over a certified plan's own domain,
+ *          else at the concrete shape. SB04 refutes a concurrency
+ *          table that marks parallel an axis the dependence analysis
+ *          does not prove parallel.
+ *  - DP04  over-serialization (warning): the table declares reduction
+ *          or sequential an axis the SB pass's classification proves
+ *          parallel
  *  - KP01  micro-kernel register usage MI*NI + NI + MII exceeds the
  *          register budget
  *  - KP02  micro-kernel structure: MII < 2 or MII does not divide MI
@@ -136,7 +139,11 @@ Report verifyPlan(const ir::Chain &chain,
                   const std::vector<std::int64_t> &tiles,
                   const PlanVerifyOptions &options);
 
-/** verifyPlan plus the PL08 check of the plan's embedded predictions. */
+/**
+ * verifyPlan plus the PL08 check of the plan's embedded predictions,
+ * PL13, the plan's one SB pass (with PL14 when it is certified) and
+ * DP04.
+ */
 Report verifyExecutionPlan(const ir::Chain &chain,
                            const plan::ExecutionPlan &plan,
                            const PlanVerifyOptions &options);
@@ -145,7 +152,7 @@ Report verifyExecutionPlan(const ir::Chain &chain,
  * Checks plan document @p text against @p chain in one pass: the
  * syntax (PL01, and nothing else when it fails), the fingerprint when
  * @p expectedFingerprint is non-empty (PL10), every name-binding defect
- * plan::bindPlanDocument records (PL02, PL05, PL12-PL14, DP06), then —
+ * plan::bindPlanDocument records (PL02, PL05, PL12-PL14), then —
  * when the order and tiles bind — verifyExecutionPlan's checks on the
  * bound plan, with PL08 limited to the prediction lines the document
  * carries.

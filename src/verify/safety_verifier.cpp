@@ -1,6 +1,7 @@
 #include "verify/safety_verifier.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -63,48 +64,52 @@ verifyPlanSafety(const ir::Chain &chain, const plan::ExecutionPlan &plan,
 }
 
 Report
-verifySafetyCertificate(const ir::Chain &chain,
-                        const plan::ExecutionPlan &plan,
-                        const SafetyVerifyOptions &options)
+verifySafety(const ir::Chain &chain, const plan::ExecutionPlan &plan,
+             const SafetyVerifyOptions &options,
+             analysis::SafetyAnalysis *out)
 {
     Report report;
     const analysis::SafetyCertificate &cert = plan.safety;
-    if (!cert.certified) {
-        return report;
-    }
-
     analysis::ShapeDomain domain = analysis::ShapeDomain::concrete(chain);
-    try {
-        domain =
-            analysis::parseShapeDomain(chain, cert.domain, "safety domain");
-    } catch (const Error &e) {
-        report.error("PL14", "safety.domain", e.what());
-        return report;
+    bool bound = false;
+    if (cert.certified) {
+        // The digest binds the certificate to this exact chain +
+        // schedule; a certificate that does not bind is void, and the
+        // plan is checked at its concrete shape instead.
+        const std::string expected = analysis::safetyDigest(
+            chain, plan.perm, plan.tiles, std::max(1, plan.plannedThreads),
+            plan.parallelGrain, cert.domain);
+        try {
+            const analysis::ShapeDomain claimed = analysis::parseShapeDomain(
+                chain, cert.domain, "safety domain");
+            if (expected == cert.digest) {
+                domain = claimed;
+                bound = true;
+            } else {
+                report.error(
+                    "PL14", "safety.digest",
+                    "certificate digest " + cert.digest +
+                        " does not match this chain + schedule (expected " +
+                        expected +
+                        "); the certificate was forged or replayed from"
+                        " another plan");
+            }
+        } catch (const Error &e) {
+            report.error("PL14", "safety.domain", e.what());
+        }
     }
 
-    // The digest binds the certificate to this exact chain + schedule.
-    const std::string expected = analysis::safetyDigest(
-        chain, plan.perm, plan.tiles, std::max(1, plan.plannedThreads),
-        plan.parallelGrain, cert.domain);
-    if (expected != cert.digest) {
-        report.error("PL14", "safety.digest",
-                     "certificate digest " + cert.digest +
-                         " does not match this chain + schedule (expected " +
-                         expected +
-                         "); the certificate was forged or replayed from"
-                         " another plan");
-        return report;
-    }
-
-    // Re-prove the certificate; one the analyzer refutes is a binding
-    // defect (the SB findings say what actually fails).
-    const analysis::SafetyAnalysis sa =
-        runAnalyzer(chain, plan, domain, options);
+    analysis::SafetyAnalysis sa = runAnalyzer(chain, plan, domain, options);
     reportViolations(sa, report);
-    if (!sa.violations.empty()) {
+    if (bound && !sa.violations.empty()) {
+        // A bound certificate the analyzer refutes is a binding defect
+        // (the SB findings say what actually fails).
         report.error("PL14", "safety",
                      "certificate over domain " + cert.domain +
                          " is refuted by the analyzer (see SB findings)");
+    }
+    if (out != nullptr) {
+        *out = std::move(sa);
     }
     return report;
 }

@@ -3,7 +3,9 @@
 /**
  * @file
  * Static plan-safety legality analysis: the SB rule family plus the
- * PL14 certificate-binding rule.
+ * PL14 certificate-binding rule. SB04 is also what refutes a plan whose
+ * concurrency table marks an axis parallel that the dependence
+ * analysis does not prove parallel.
  *
  * The analyzer itself lives in analysis/static_safety.hpp; this layer
  * turns its findings into verify::Report diagnostics and polices the
@@ -52,8 +54,8 @@ struct SafetyVerifyOptions
     /**
      * Shape-domain spec for verifyPlanSafety ("" or "concrete" pins
      * every axis; otherwise ShapeDomain::summary grammar, e.g.
-     * "b:1..4096"). verifySafetyCertificate always uses the
-     * certificate's own domain instead.
+     * "b:1..4096"). verifySafety uses the certificate's own domain
+     * instead.
      */
     std::string domainSpec;
 };
@@ -73,15 +75,17 @@ Report verifyPlanSafety(const ir::Chain &chain,
                         analysis::SafetyAnalysis *out = nullptr);
 
 /**
- * PL14 validation of an attached certificate: recomputes the digest
- * from the bound schedule and re-runs the analyzer over the
- * certificate's own domain, so a `safety:` line can neither be forged
- * nor replayed onto a different schedule. A refuted certificate
- * additionally carries its SB findings. No-op (empty report) on
- * uncertified plans.
+ * The SB pass every plan gets. A certified plan's certificate must bind
+ * (PL14: the digest is recomputed from the schedule, so a `safety:` line
+ * can neither be forged nor replayed) and is then re-proved over its own
+ * domain; a refuted certificate is a PL14 defect carrying its SB
+ * findings. An uncertified plan, or one whose certificate does not
+ * bind, is analyzed at its concrete shape. @p out, when non-null,
+ * receives the analysis. The plan's perm/tiles must be structurally
+ * valid.
  */
-Report verifySafetyCertificate(const ir::Chain &chain,
-                               const plan::ExecutionPlan &plan,
-                               const SafetyVerifyOptions &options);
+Report verifySafety(const ir::Chain &chain, const plan::ExecutionPlan &plan,
+                    const SafetyVerifyOptions &options,
+                    analysis::SafetyAnalysis *out = nullptr);
 
 } // namespace chimera::verify

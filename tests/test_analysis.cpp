@@ -55,7 +55,7 @@ TEST(Dependence, GemmChainTableMatchesHandProof)
     EXPECT_EQ(kindOf(table, chain, "k"), AxisConcurrency::Reduction);
     EXPECT_EQ(kindOf(table, chain, "l"), AxisConcurrency::Reduction);
     for (const AxisClassification &cls : table.axes) {
-        EXPECT_FALSE(cls.epilogueInduced);
+        EXPECT_EQ(cls.reason.find("softmax"), std::string::npos);
         EXPECT_FALSE(cls.reason.empty());
     }
 }
@@ -74,14 +74,18 @@ TEST(Dependence, SoftmaxEpilogueFlagsTheRowAxis)
         analyzeConcurrency(chain, halvedTiles(chain));
 
     // The row sum accumulates across l blocks of the intermediate; l was
-    // already a reduction axis (gemm2 contracts it), but the flag must
-    // record the epilogue coupling so the verifier can refuse a parallel
-    // re-declaration with the sharper DP05 diagnosis.
+    // already a reduction axis (gemm2 contracts it), but the reason must
+    // still name the epilogue coupling, since SB04 prints it when a plan
+    // re-declares l parallel.
     const AxisId l = ir::axisIdByName(chain, "l");
     EXPECT_EQ(table.kindOf(l), AxisConcurrency::Reduction);
-    EXPECT_TRUE(table.axes[static_cast<std::size_t>(l)].epilogueInduced);
-    EXPECT_FALSE(table.axes[static_cast<std::size_t>(
-        ir::axisIdByName(chain, "m"))].epilogueInduced);
+    EXPECT_NE(table.axes[static_cast<std::size_t>(l)].reason.find(
+                  "softmax row normalization"),
+              std::string::npos);
+    EXPECT_EQ(table.axes[static_cast<std::size_t>(
+                             ir::axisIdByName(chain, "m"))]
+                  .reason.find("softmax"),
+              std::string::npos);
 }
 
 TEST(Dependence, ConvChainTableMatchesHandProof)

@@ -11,12 +11,14 @@
 #include <cstring>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/dependence.hpp"
 #include "analysis/race_checker.hpp"
+#include "analysis/static_safety.hpp"
 #include "exec/constraints.hpp"
 #include "exec/conv_chain_exec.hpp"
 #include "exec/gemm_chain3_exec.hpp"
@@ -30,6 +32,7 @@
 #include "obs/trace.hpp"
 #include "plan/plan_io.hpp"
 #include "plan/planner.hpp"
+#include "support/mathutil.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -867,6 +870,153 @@ TEST(RegionWalker, SerialRaceScanOfChain3AndAttentionIsClean)
                 EXPECT_TRUE(bitwiseEqual(e, reference));
             }
         }
+    }
+}
+
+/**
+ * Marks, one at a time, every region axis of @p plan that has at least
+ * two blocks and that the table does not mark Parallel as Parallel, and
+ * checks that SB04 refutes the mis-declared plan statically and that
+ * @p racesSerially (one serial fused run under the race checker)
+ * observes its conflicting writers. Returns the number of axes probed.
+ */
+int
+expectMisdeclaredRegionAxesRefuted(
+    const ir::Chain &chain, const plan::ExecutionPlan &plan,
+    const std::function<bool(const plan::ExecutionPlan &)> &racesSerially)
+{
+    int probed = 0;
+    for (const RegionLoop &loop : regionLoops(chain, plan)) {
+        const auto slot = static_cast<std::size_t>(loop.axis);
+        if (ceilDiv(loop.extent, loop.tile) < 2 ||
+            plan.concurrency[slot] == analysis::AxisConcurrency::Parallel) {
+            continue;
+        }
+        plan::ExecutionPlan racy = plan;
+        racy.concurrency[slot] = analysis::AxisConcurrency::Parallel;
+        racy.safety = analysis::SafetyCertificate{};
+        const analysis::SafetyAnalysis sa = analysis::analyzeSafety(
+            chain, racy.perm, racy.tiles, racy.concurrency, 1, {},
+            analysis::ShapeDomain::concrete(chain), {});
+        const std::string what =
+            chain.name() + " axis " + chain.axisName(loop.axis);
+        EXPECT_TRUE(std::any_of(sa.violations.begin(), sa.violations.end(),
+                                [](const analysis::SafetyViolation &v) {
+                                    return v.rule ==
+                                           analysis::SafetyRule::SB04;
+                                }))
+            << what << ": " << sa.renderViolations();
+        EXPECT_TRUE(racesSerially(racy)) << what;
+        ++probed;
+    }
+    return probed;
+}
+
+TEST(RegionWalker, EveryMisdeclaredRegionAxisIsRefutedBySB04AndRC01)
+{
+    // RC01 is SB04's dynamic oracle: on the planned tiles of each chain
+    // form, a parallel mark on a serial region axis must be refuted
+    // statically *and* produce conflicting writers.
+    for (Epilogue epi : {Epilogue::None, Epilogue::Softmax}) {
+        GemmChainConfig cfg;
+        cfg.name = "oracle-gemm-chain";
+        cfg.m = 64;
+        cfg.n = 64;
+        cfg.k = 64;
+        cfg.l = 512;
+        cfg.epilogue = epi;
+        cfg.softmaxScale = 0.125f;
+        const ir::Chain chain = ir::makeGemmChain(cfg);
+        plan::PlannerOptions options;
+        options.memCapacityBytes = 64.0 * 1024;
+        options.constraints = cpuChainConstraints(chain, hostKernel());
+        const plan::ExecutionPlan plan = plan::planChain(chain, options);
+
+        Tensor a(gemmChainShapeA(cfg));
+        Tensor b(gemmChainShapeB(cfg));
+        Tensor d(gemmChainShapeD(cfg));
+        Rng rng(42);
+        fillUniform(a, rng);
+        fillUniform(b, rng);
+        fillUniform(d, rng);
+        EXPECT_GE(expectMisdeclaredRegionAxesRefuted(
+                      chain, plan,
+                      [&](const plan::ExecutionPlan &racy) {
+                          Tensor e(gemmChainShapeE(cfg));
+                          analysis::RaceChecker checker(e.numel());
+                          runFusedGemmChain(
+                              cfg, racy, ComputeEngine::best(), a, b, d, e,
+                              ExecOptions{1, nullptr, &checker});
+                          return checker.hasConflicts();
+                      }),
+                  1)
+            << "no serial region axis with two blocks to probe (l tile "
+            << plan.tiles[static_cast<std::size_t>(
+                   ir::axisIdByName(chain, "l"))]
+            << ")";
+    }
+    {
+        // Attention's region axes are b and m, both proven parallel, so
+        // there is nothing to mis-declare: the sweep must find no
+        // candidate rather than a false refutation.
+        ir::GemmChain3Config cfg;
+        cfg.batch = 2;
+        cfg.m = 48;
+        cfg.n = 24;
+        cfg.k = 16;
+        cfg.l = 40;
+        cfg.p = 20;
+        cfg.epilogue = Epilogue::Softmax;
+        cfg.softmaxScale = 0.25f;
+        const ir::Chain chain = ir::makeGemmChain3(cfg);
+        plan::PlannerOptions options;
+        options.memCapacityBytes = 24.0 * 1024;
+        options.constraints = gemmChain3Constraints(chain, hostKernel());
+        const plan::ExecutionPlan plan = plan::planChain(chain, options);
+        EXPECT_EQ(expectMisdeclaredRegionAxesRefuted(
+                      chain, plan,
+                      [](const plan::ExecutionPlan &) { return false; }),
+                  0);
+    }
+    {
+        ConvChainConfig cfg;
+        cfg.name = "oracle-conv-chain";
+        cfg.batch = 1;
+        cfg.ic = 16;
+        cfg.h = 16;
+        cfg.w = 16;
+        cfg.oc1 = 128;
+        cfg.oc2 = 16;
+        cfg.k1 = 3;
+        cfg.k2 = 3;
+        const ir::Chain chain = ir::makeConvChain(cfg);
+        plan::PlannerOptions options;
+        options.memCapacityBytes = 64.0 * 1024;
+        options.constraints = cpuChainConstraints(chain, hostKernel());
+        const plan::ExecutionPlan plan = plan::planChain(chain, options);
+
+        Tensor input(convChainShapeI(cfg));
+        Tensor w1(convChainShapeW1(cfg));
+        Tensor w2(convChainShapeW2(cfg));
+        Rng rng(42);
+        fillUniform(input, rng);
+        fillUniform(w1, rng);
+        fillUniform(w2, rng);
+        EXPECT_GE(expectMisdeclaredRegionAxesRefuted(
+                      chain, plan,
+                      [&](const plan::ExecutionPlan &racy) {
+                          Tensor output(convChainShapeO(cfg));
+                          analysis::RaceChecker checker(output.numel());
+                          runFusedConvChain(
+                              cfg, racy, ComputeEngine::best(), input, w1,
+                              w2, output, ExecOptions{1, nullptr, &checker});
+                          return checker.hasConflicts();
+                      }),
+                  1)
+            << "no serial region axis with two blocks to probe (oc1 tile "
+            << plan.tiles[static_cast<std::size_t>(
+                   ir::axisIdByName(chain, "oc1"))]
+            << ")";
     }
 }
 

@@ -398,7 +398,7 @@ TEST(PlanIo, HonorsDeclaredConcurrencyOverDerived)
     // A deliberately mis-declared (but well-formed) table must survive
     // the load: the race checker exists to observe what a tampered
     // document actually does, so the loader binds it rather than
-    // silently repairing it. chimera-check flags it via DP02.
+    // silently repairing it. chimera-check flags it via SB04.
     const ir::Chain chain = chainUnderTest();
     const ExecutionPlan plan = planUnderTest(chain);
     const ExecutionPlan restored = deserializePlan(

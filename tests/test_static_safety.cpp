@@ -401,10 +401,9 @@ TEST(StaticSafety, PlannerGateServesOnlyCertifiedPlans)
 TEST(StaticSafety, VerifierChecksRequestedDomainOnUncertifiedPlan)
 {
     const ir::Chain chain = chainUnderTest();
-    plan::PlannerOptions po = optionsUnderTest();
-    po.staticSafety = false;
-    const plan::ExecutionPlan plan = plan::planChain(chain, po);
-    EXPECT_FALSE(plan.safety.certified);
+    const plan::PlannerOptions po = optionsUnderTest();
+    plan::ExecutionPlan plan = plan::planChain(chain, po);
+    plan.safety = analysis::SafetyCertificate{};
 
     verify::SafetyVerifyOptions so;
     so.memCapacityBytes = po.memCapacityBytes;

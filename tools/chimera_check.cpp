@@ -4,8 +4,9 @@
  *
  * Describes a chain the same way chimera-plan does, audits the chain IR
  * (rules CH01-CH07), then audits either a plan document supplied with
- * --plan or the planner's own winning schedule (rules PL01-PL14 plus
- * the DP01-DP06 concurrency rules), and optionally the micro-kernel
+ * --plan or the planner's own winning schedule (rules PL01-PL14, one
+ * SB01-SB04 pass at the certificate's domain or the concrete shape, and
+ * the DP04 over-serialization warning), and optionally the micro-kernel
  * register tile (KP01-KP03). Prints every finding as "severity: [rule]
  * location: message" and exits non-zero when any error-severity finding
  * was reported. A chain with no schedule that fits --capacity is an
@@ -18,9 +19,10 @@
  * is reported as rule RC01. Detection is
  * keyed on the deterministic block-task index, so the suspect plan is
  * run serially — a mis-declared parallel axis is caught without ever
- * racing for real. This is the dynamic complement of the static DP
- * rules: DP02 says the declared table disagrees with the analysis,
- * RC01 says the disagreement produces conflicting writers in practice.
+ * racing for real. This is the dynamic complement of SB04: SB04 says
+ * the declared table marks parallel an axis the analysis cannot prove
+ * disjoint, RC01 says the mis-declaration produces conflicting writers
+ * in practice.
  * RC01 is reported only for observed conflicts.
  *
  * --static and --race run on one resolved plan: the --plan document,
@@ -44,7 +46,8 @@
  * than observed on one shape. --domain axis=max (repeatable) widens an
  * axis to [1, max]; the default domain pins every axis to its concrete
  * extent. A certified plan prints its certificate line plus a
- * machine-parseable per-rule timing line.
+ * machine-parseable per-rule timing line. Findings the plain
+ * verification's SB pass already reported are not repeated.
  *
  * Usage:
  *   chimera-check gemm <batch> <M> <N> <K> <L> [options]
@@ -74,6 +77,7 @@
  * 2 usage or IO failure (unreadable plan file, bad --domain axis, ...).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cmath>
@@ -281,7 +285,19 @@ runStaticSafety(const ir::Chain &chain, const plan::ExecutionPlan &plan,
     }
     so.domainSpec = spec;
     analysis::SafetyAnalysis analysis;
-    report.merge(verify::verifyPlanSafety(chain, plan, so, &analysis));
+    const verify::Report found =
+        verify::verifyPlanSafety(chain, plan, so, &analysis);
+    for (const verify::Finding &f : found.findings()) {
+        const bool known = std::any_of(
+            report.findings().begin(), report.findings().end(),
+            [&f](const verify::Finding &g) {
+                return g.ruleId == f.ruleId && g.location == f.location &&
+                       g.message == f.message;
+            });
+        if (!known) {
+            report.add(f);
+        }
+    }
     if (analysis.certificate.certified) {
         std::printf("static-safety: certified domain=%s digest=%s\n",
                     analysis.certificate.domain.c_str(),
