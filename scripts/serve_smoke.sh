@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Serving smoke test: boots chimera-serve on a private socket, drives it
 # with serve_loadgen, and gates on the things a broken daemon gets
-# wrong — zero completed requests, protocol errors, or a dirty
-# shutdown. The loadgen writes BENCH_serving.json (p50/p99 latency,
+# wrong — zero completed requests, protocol errors, a dirty shutdown,
+# or a metrics dump that disagrees with the Stats document. The loadgen writes BENCH_serving.json (p50/p99 latency,
 # achieved throughput, batching stats) for the CI artifact upload.
 #
 # Flags: --quick forwards the loadgen's reduced sweep (64 requests at
@@ -113,6 +113,20 @@ if lat is None:
 elif lat["count"] != doc["completed"]:
     failures.append(f"metrics latency count {lat['count']} != "
                     f"completed {doc['completed']}")
+
+# One store: the Stats document the loadgen fetched after its last
+# response and the dump written at shutdown read the same registry
+# counters, and no Execute request runs between the two.
+stats = doc.get("server", {})
+slices = metrics.get("chimera.serve.batch_slices", {})
+for metric, dumped, key in (
+        ("chimera.serve.requests",
+         metrics.get("chimera.serve.requests"), "requests"),
+        ("chimera.serve.batch_slices.count", slices.get("count"),
+         "batches")):
+    if dumped is None or dumped != stats.get(key):
+        failures.append(f"metrics {metric} {dumped} != "
+                        f"stats {key} {stats.get(key)}")
 
 for failure in failures:
     print(f"serve smoke: {failure}", file=sys.stderr)

@@ -157,6 +157,12 @@ Histogram &Registry::histogram(const std::string &name)
     return *slot;
 }
 
+std::int64_t Registry::counterValue(const std::string &name) const
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return counters_.at(name)->value();
+}
+
 namespace
 {
 
@@ -175,27 +181,6 @@ bool isSecondsHistogram(const std::string &name)
     static const std::string suffix = "_seconds";
     return name.size() >= suffix.size() &&
            name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-void appendHistogramText(std::ostringstream &out, const std::string &name,
-                         const HistogramSnapshot &snap)
-{
-    out << name << "-count: " << snap.count() << '\n';
-    if (isSecondsHistogram(name))
-    {
-        out << name << "-p50-seconds: " << formatSeconds(snap.percentileSeconds(0.50)) << '\n';
-        out << name << "-p90-seconds: " << formatSeconds(snap.percentileSeconds(0.90)) << '\n';
-        out << name << "-p99-seconds: " << formatSeconds(snap.percentileSeconds(0.99)) << '\n';
-        out << name << "-p999-seconds: " << formatSeconds(snap.percentileSeconds(0.999)) << '\n';
-        out << name << "-mean-seconds: " << formatSeconds(snap.meanSeconds()) << '\n';
-        out << name << "-max-seconds: " << formatSeconds(snap.maxSeconds()) << '\n';
-        return;
-    }
-    out << name << "-p50: " << snap.percentile(0.50) << '\n';
-    out << name << "-p90: " << snap.percentile(0.90) << '\n';
-    out << name << "-p99: " << snap.percentile(0.99) << '\n';
-    out << name << "-p999: " << snap.percentile(0.999) << '\n';
-    out << name << "-max: " << snap.max() << '\n';
 }
 
 void appendJsonEntry(std::ostringstream &out, bool &first, const std::string &name,
@@ -228,19 +213,6 @@ std::string histogramJson(const std::string &name, const HistogramSnapshot &snap
 }
 
 } // namespace
-
-std::string Registry::renderText() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::ostringstream out;
-    for (const auto &[name, c] : counters_)
-        out << name << ": " << c->value() << '\n';
-    for (const auto &[name, g] : gauges_)
-        out << name << ": " << g->value() << '\n';
-    for (const auto &[name, h] : histograms_)
-        appendHistogramText(out, name, h->snapshot());
-    return out.str();
-}
 
 std::string Registry::renderJson() const
 {

@@ -210,11 +210,9 @@ public:
     Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
 
-    /**
-     * Stable `name: value` lines sorted by name; histograms expand to
-     * `<name>-count/-p50/-p90/-p99/-p999/-mean/-max` (seconds domain).
-     */
-    std::string renderText() const;
+    /// Current value of the counter @p name; throws std::out_of_range
+    /// when no counter of that name exists (a misspelt read fails loud).
+    std::int64_t counterValue(const std::string &name) const;
 
     /** JSON object keyed by metric name (histograms become objects). */
     std::string renderJson() const;

@@ -161,29 +161,6 @@ uniqueTempPath(const std::string &entryPath)
  */
 constexpr auto kOrphanTempAge = std::chrono::minutes(10);
 
-/**
- * Process-wide mirrors of the per-instance PlanCacheStats counters, so
- * `chimera-serve --metrics-dump` (and any other obs::Registry reader)
- * sees cache behaviour without holding a PlanCache reference.
- */
-struct CacheMetrics {
-    obs::Counter &memoryHits =
-        obs::Registry::global().counter("chimera.plan.cache.memory_hits");
-    obs::Counter &diskHits =
-        obs::Registry::global().counter("chimera.plan.cache.disk_hits");
-    obs::Counter &misses =
-        obs::Registry::global().counter("chimera.plan.cache.misses");
-    obs::Counter &stores =
-        obs::Registry::global().counter("chimera.plan.cache.stores");
-};
-
-CacheMetrics &
-cacheMetrics()
-{
-    static CacheMetrics metrics;
-    return metrics;
-}
-
 } // namespace
 
 std::string
@@ -194,7 +171,14 @@ planFingerprint(const ir::Chain &chain, const PlannerOptions &options)
 }
 
 PlanCache::PlanCache(std::string directory)
-    : directory_(std::move(directory))
+    : directory_(std::move(directory)),
+      memoryHits_(registry_.counter("chimera.plan.cache.memory_hits")),
+      diskHits_(registry_.counter("chimera.plan.cache.disk_hits")),
+      misses_(registry_.counter("chimera.plan.cache.misses")),
+      stores_(registry_.counter("chimera.plan.cache.stores")),
+      corruptEntries_(
+          registry_.counter("chimera.plan.cache.corrupt_entries")),
+      rejectedPlans_(registry_.counter("chimera.plan.cache.rejected_plans"))
 {
     removeOrphanedTempFiles();
 }
@@ -267,8 +251,7 @@ PlanCache::lookup(const ir::Chain &chain, const PlannerOptions &options)
         std::lock_guard<std::mutex> lock(mutex_);
         const auto it = memory_.find(fingerprint);
         if (it != memory_.end()) {
-            memoryHits_.fetch_add(1, std::memory_order_relaxed);
-            cacheMetrics().memoryHits.add();
+            memoryHits_.add();
             span.arg("outcome", std::string("memory-hit"));
             ExecutionPlan plan = it->second;
             plan.candidatesExamined = 0;
@@ -295,20 +278,18 @@ PlanCache::lookup(const ir::Chain &chain, const PlannerOptions &options)
                 CHIMERA_INFO("ignoring bad plan cache entry "
                              << entryPath(fingerprint) << ":\n"
                              << audit.render());
-                corruptEntries_.fetch_add(1, std::memory_order_relaxed);
+                corruptEntries_.add();
             } else if (audit.hasErrors()) {
                 CHIMERA_INFO("rejecting illegal plan cache entry "
                              << entryPath(fingerprint) << ":\n"
                              << audit.render());
-                rejectedPlans_.fetch_add(1, std::memory_order_relaxed);
-                misses_.fetch_add(1, std::memory_order_relaxed);
-                cacheMetrics().misses.add();
+                rejectedPlans_.add();
+                misses_.add();
                 span.arg("outcome", std::string("rejected"));
                 return std::nullopt;
             } else {
                 ExecutionPlan plan = std::move(*resolved);
-                diskHits_.fetch_add(1, std::memory_order_relaxed);
-                cacheMetrics().diskHits.add();
+                diskHits_.add();
                 span.arg("outcome", std::string("disk-hit"));
                 std::lock_guard<std::mutex> lock(mutex_);
                 memory_[fingerprint] = plan;
@@ -318,8 +299,7 @@ PlanCache::lookup(const ir::Chain &chain, const PlannerOptions &options)
             }
         }
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    cacheMetrics().misses.add();
+    misses_.add();
     span.arg("outcome", std::string("miss"));
     return std::nullopt;
 }
@@ -335,8 +315,7 @@ PlanCache::store(const ir::Chain &chain, const PlannerOptions &options,
         std::lock_guard<std::mutex> lock(mutex_);
         memory_[fingerprint] = plan;
     }
-    stores_.fetch_add(1, std::memory_order_relaxed);
-    cacheMetrics().stores.add();
+    stores_.add();
     if (directory_.empty() ||
         diskDisabled_.load(std::memory_order_relaxed)) {
         return;
@@ -391,12 +370,12 @@ PlanCacheStats
 PlanCache::stats() const
 {
     PlanCacheStats out;
-    out.memoryHits = memoryHits_.load(std::memory_order_relaxed);
-    out.diskHits = diskHits_.load(std::memory_order_relaxed);
-    out.misses = misses_.load(std::memory_order_relaxed);
-    out.stores = stores_.load(std::memory_order_relaxed);
-    out.corruptEntries = corruptEntries_.load(std::memory_order_relaxed);
-    out.rejectedPlans = rejectedPlans_.load(std::memory_order_relaxed);
+    out.memoryHits = static_cast<int>(memoryHits_.value());
+    out.diskHits = static_cast<int>(diskHits_.value());
+    out.misses = static_cast<int>(misses_.value());
+    out.stores = static_cast<int>(stores_.value());
+    out.corruptEntries = static_cast<int>(corruptEntries_.value());
+    out.rejectedPlans = static_cast<int>(rejectedPlans_.value());
     out.diskDisabled = diskDisabled_.load(std::memory_order_relaxed);
     return out;
 }

@@ -40,11 +40,15 @@
 #include <optional>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "plan/planner.hpp"
 
 namespace chimera::plan {
 
-/** Counters exposed for tests, benches and cache-troubleshooting. */
+/**
+ * Typed read of a PlanCache's registry counters, for tests, benches and
+ * cache-troubleshooting.
+ */
 struct PlanCacheStats
 {
     int memoryHits = 0; ///< served from the in-process memo
@@ -119,6 +123,14 @@ class PlanCache
      */
     PlanCacheStats stats() const;
 
+    /**
+     * This cache's counters, `chimera.plan.cache.*` (memory_hits,
+     * disk_hits, misses, stores, corrupt_entries, rejected_plans): the
+     * only place they are kept. Per instance, so caches that coexist in
+     * one process count apart.
+     */
+    const obs::Registry &registry() const { return registry_; }
+
   private:
     std::string entryPath(const std::string &fingerprint) const;
 
@@ -131,12 +143,13 @@ class PlanCache
     const std::string directory_;
     mutable std::mutex mutex_;
     std::map<std::string, ExecutionPlan> memory_;
-    std::atomic<int> memoryHits_{0};
-    std::atomic<int> diskHits_{0};
-    std::atomic<int> misses_{0};
-    std::atomic<int> stores_{0};
-    std::atomic<int> corruptEntries_{0};
-    std::atomic<int> rejectedPlans_{0};
+    obs::Registry registry_;
+    obs::Counter &memoryHits_;
+    obs::Counter &diskHits_;
+    obs::Counter &misses_;
+    obs::Counter &stores_;
+    obs::Counter &corruptEntries_;
+    obs::Counter &rejectedPlans_;
     std::atomic<bool> diskDisabled_{false};
 };
 

@@ -626,8 +626,6 @@ planChain(const Chain &chain, const PlannerOptions &options)
         span.arg("chain", chain.name())
             .arg("fingerprint", planFingerprint(chain, options));
     }
-    static obs::Counter &cacheHits =
-        obs::Registry::global().counter("chimera.plan.cache_hits");
     static obs::Counter &planned =
         obs::Registry::global().counter("chimera.plan.planned");
     static obs::Histogram &planSeconds =
@@ -636,7 +634,6 @@ planChain(const Chain &chain, const PlannerOptions &options)
         if (std::optional<ExecutionPlan> cached =
                 options.cache->lookup(chain, options)) {
             CHIMERA_DEBUG("plan cache hit for " << chain.name());
-            cacheHits.add();
             span.arg("source", std::string("cache"))
                 .arg("dv_bytes", cached->predictedVolumeBytes)
                 .arg("mu_bytes", cached->memUsageBytes);

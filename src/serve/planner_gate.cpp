@@ -23,7 +23,13 @@ PlannerGate::PlannerGate(const PlannerGateOptions &options)
                  ? std::string()
                  : (options.cacheDir.empty()
                         ? plan::PlanCache::defaultDirectory()
-                        : options.cacheDir))
+                        : options.cacheDir)),
+      flightsLed_(registry_.counter("chimera.serve.plans_led")),
+      flightsJoined_(registry_.counter("chimera.serve.plans_joined")),
+      derivedPlans_(registry_.counter("chimera.serve.derived_plans")),
+      certifiedPlans_(registry_.counter("chimera.serve.certified_plans")),
+      recertifiedPlans_(
+          registry_.counter("chimera.serve.recertified_plans"))
 {
 }
 
@@ -54,9 +60,9 @@ PlannerGate::ensureCertified(const ir::Chain &chain,
                         "static safety analyzer found:\n" +
                         analysis.renderViolations());
         }
-        recertifiedPlans_.fetch_add(1, std::memory_order_relaxed);
+        recertifiedPlans_.add();
     }
-    certifiedPlans_.fetch_add(1, std::memory_order_relaxed);
+    certifiedPlans_.add();
 }
 
 plan::ExecutionPlan
@@ -66,7 +72,7 @@ PlannerGate::once(const ir::Chain &chain, const plan::PlannerOptions &po,
     const std::string key = plan::planFingerprint(chain, po);
     std::unique_lock<std::mutex> lock(flightMutex_);
     if (const auto it = flights_.find(key); it != flights_.end()) {
-        flightsJoined_.fetch_add(1, std::memory_order_relaxed);
+        flightsJoined_.add();
         const std::shared_ptr<Flight> flight = it->second;
         flightDone_.wait(lock, [&] { return flight->done; });
         if (flight->error) {
@@ -82,7 +88,7 @@ PlannerGate::once(const ir::Chain &chain, const plan::PlannerOptions &po,
     }
     const auto flight = std::make_shared<Flight>();
     flights_[key] = flight;
-    flightsLed_.fetch_add(1, std::memory_order_relaxed);
+    flightsLed_.add();
     lock.unlock();
 
     try {
@@ -187,7 +193,7 @@ PlannerGate::batchedPlan(const ir::GemmChainConfig &config,
                 chain, sliceChain.axes()[static_cast<std::size_t>(axis)].name));
         }
         plan::ExecutionPlan derived = plan::planFixedOrder(chain, perm, po);
-        derivedPlans_.fetch_add(1, std::memory_order_relaxed);
+        derivedPlans_.add();
         cache_.store(chain, po, derived);
         return derived;
     });
@@ -196,20 +202,6 @@ PlannerGate::batchedPlan(const ir::GemmChainConfig &config,
         .arg("dv_bytes", plan.predictedVolumeBytes)
         .arg("mu_bytes", plan.memUsageBytes);
     return plan;
-}
-
-PlannerGateStats
-PlannerGate::stats() const
-{
-    PlannerGateStats out;
-    out.flightsLed = flightsLed_.load(std::memory_order_relaxed);
-    out.flightsJoined = flightsJoined_.load(std::memory_order_relaxed);
-    out.derivedPlans = derivedPlans_.load(std::memory_order_relaxed);
-    out.certifiedPlans = certifiedPlans_.load(std::memory_order_relaxed);
-    out.recertifiedPlans =
-        recertifiedPlans_.load(std::memory_order_relaxed);
-    out.cache = cache_.stats();
-    return out;
 }
 
 } // namespace chimera::serve

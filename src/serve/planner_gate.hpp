@@ -27,7 +27,6 @@
  *    alone or coalesced into a batch.
  */
 
-#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <map>
@@ -36,6 +35,7 @@
 #include <string>
 
 #include "ir/builders.hpp"
+#include "obs/metrics.hpp"
 #include "plan/plan_cache.hpp"
 #include "plan/planner.hpp"
 
@@ -55,17 +55,6 @@ struct PlannerGateOptions
 
     /** Audit winning plans with the legality verifier. */
     bool verifyPlans = false;
-};
-
-/** Counters exposed through the daemon's stats document. */
-struct PlannerGateStats
-{
-    int flightsLed = 0; ///< planner actually ran (once per cold key)
-    int flightsJoined = 0; ///< waited on a concurrent leader's plan
-    int derivedPlans = 0; ///< fixed-order batched derivations solved
-    int certifiedPlans = 0; ///< plans served with an SB certificate
-    int recertifiedPlans = 0; ///< pre-analyzer cache entries re-proven
-    plan::PlanCacheStats cache; ///< underlying plan-cache counters
 };
 
 /** Single-flight planning front-end shared by all serve executors. */
@@ -91,9 +80,19 @@ class PlannerGate
     plan::ExecutionPlan batchedPlan(const ir::GemmChainConfig &slice,
                                     std::int64_t totalBatch);
 
-    PlannerGateStats stats() const;
+    /**
+     * This gate's counters, the only place they are kept:
+     * `chimera.serve.plans_led` (the planner ran, once per cold key),
+     * `plans_joined` (waited on a concurrent leader's plan),
+     * `derived_plans` (fixed-order batched derivations solved),
+     * `certified_plans` (plans served with an SB certificate) and
+     * `recertified_plans` (pre-analyzer cache entries re-proven). The
+     * plan cache keeps its own, see PlanCache::registry().
+     */
+    const obs::Registry &registry() const { return registry_; }
 
     plan::PlanCache &cache() { return cache_; }
+    const plan::PlanCache &cache() const { return cache_; }
 
   private:
     struct Flight
@@ -134,14 +133,15 @@ class PlannerGate
     mutable std::mutex flightMutex_;
     std::condition_variable flightDone_;
     std::map<std::string, std::shared_ptr<Flight>> flights_;
-    /// Atomics, not mutex-guarded ints: stats() snapshots run on the
-    /// stats/metrics path concurrently with planning flights, and must
-    /// never contend with (or race against) the flight table.
-    std::atomic<int> flightsLed_{0};
-    std::atomic<int> flightsJoined_{0};
-    std::atomic<int> derivedPlans_{0};
-    std::atomic<int> certifiedPlans_{0};
-    std::atomic<int> recertifiedPlans_{0};
+    /// Registry counters, not mutex-guarded ints: the stats/metrics path
+    /// reads them concurrently with planning flights, and must never
+    /// contend with (or race against) the flight table.
+    obs::Registry registry_;
+    obs::Counter &flightsLed_;
+    obs::Counter &flightsJoined_;
+    obs::Counter &derivedPlans_;
+    obs::Counter &certifiedPlans_;
+    obs::Counter &recertifiedPlans_;
 };
 
 /**

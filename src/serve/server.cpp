@@ -39,16 +39,6 @@ fnv1a64(const void *data, std::size_t size, std::uint64_t seed)
 
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 
-void
-atomicMax(std::atomic<std::int64_t> &target, std::int64_t value)
-{
-    std::int64_t seen = target.load(std::memory_order_relaxed);
-    while (seen < value &&
-           !target.compare_exchange_weak(seen, value,
-                                         std::memory_order_relaxed)) {
-    }
-}
-
 } // namespace
 
 Server::Server(const ServerOptions &options)
@@ -60,6 +50,12 @@ Server::Server(const ServerOptions &options)
           return go;
       }()),
       engine_(exec::ComputeEngine::best()),
+      connectionsAccepted_(registry_.counter("chimera.serve.connections")),
+      requestsAdmitted_(registry_.counter("chimera.serve.requests")),
+      responsesWritten_(registry_.counter("chimera.serve.responses")),
+      protocolErrors_(registry_.counter("chimera.serve.protocol_errors")),
+      batchedRequests_(
+          registry_.counter("chimera.serve.batched_requests")),
       latencySeconds_(
           registry_.histogram("chimera.serve.latency_seconds")),
       batchSlices_(registry_.histogram("chimera.serve.batch_slices"))
@@ -173,7 +169,7 @@ Server::acceptLoop()
             conn->id = nextConnId_++;
             connections_[conn->id] = conn;
         }
-        connectionsAccepted_.fetch_add(1, std::memory_order_relaxed);
+        connectionsAccepted_.add();
         conn->reader = std::thread([this, conn] { readerLoop(conn); });
     }
 }
@@ -191,7 +187,7 @@ Server::readerLoop(const std::shared_ptr<Connection> &conn)
         } catch (const Error &) {
             // Unframeable stream (bad length, truncation): there is no
             // way to resynchronize, so the connection dies.
-            protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+            protocolErrors_.add();
             break;
         }
         if (!payload) {
@@ -207,7 +203,7 @@ Server::readerLoop(const std::shared_ptr<Connection> &conn)
             // id when they parsed, so the client can correlate the
             // error with the request it sent; id 0 only when even the
             // header is unreadable.
-            protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+            protocolErrors_.add();
             MessageType type = MessageType::Execute;
             std::uint64_t id = 0;
             peekRequestHeader(*payload, type, id);
@@ -232,7 +228,7 @@ Server::dispatchRequest(const std::shared_ptr<Connection> &conn,
 {
     switch (request.type) {
     case MessageType::Execute: {
-        requestsAdmitted_.fetch_add(1, std::memory_order_relaxed);
+        requestsAdmitted_.add();
         ServeJob job;
         job.request = std::move(request.execute);
         job.admittedSeconds = nowSeconds();
@@ -367,23 +363,18 @@ Server::executorLoop()
             group = std::move(groupQueue_.front());
             groupQueue_.pop_front();
         }
-        // Record the group size before executing: responses (and any
-        // stats request racing them) land after executeGroup delivers,
-        // so recording afterwards would undercount visibly.
+        // Count the group before executing: responses (and any stats
+        // request racing them) land as executeGroup delivers, so
+        // counting afterwards would undercount visibly.
         std::int64_t slices = 0;
         for (const ServeJob &job : group) {
             slices += job.request.config.batch;
         }
         batchSlices_.record(slices);
-        const GroupResult result =
-            executeGroup(group, gate_, engine_, execOptions, now);
-        batchesExecuted_.fetch_add(1, std::memory_order_relaxed);
         if (group.size() > 1) {
-            batchedRequests_.fetch_add(
-                static_cast<std::int64_t>(group.size()),
-                std::memory_order_relaxed);
+            batchedRequests_.add(static_cast<std::int64_t>(group.size()));
         }
-        atomicMax(maxBatchObserved_, result.slices);
+        executeGroup(group, gate_, engine_, execOptions, now);
     }
 }
 
@@ -415,8 +406,7 @@ Server::writerLoop()
             if (out.conn->fd >= 0) {
                 try {
                     writeFrame(out.conn->fd, out.payload);
-                    responsesWritten_.fetch_add(1,
-                                                std::memory_order_relaxed);
+                    responsesWritten_.add();
                 } catch (const Error &) {
                     // Peer vanished mid-write: wake its reader, move on.
                     ::shutdown(out.conn->fd, SHUT_RDWR);
@@ -610,48 +600,38 @@ Server::stop()
 
 #endif // __unix__
 
-ServerStats
-Server::stats() const
-{
-    ServerStats out;
-    out.connections = connectionsAccepted_.load(std::memory_order_relaxed);
-    out.requests = requestsAdmitted_.load(std::memory_order_relaxed);
-    out.responses = responsesWritten_.load(std::memory_order_relaxed);
-    out.protocolErrors = protocolErrors_.load(std::memory_order_relaxed);
-    out.batches = batchesExecuted_.load(std::memory_order_relaxed);
-    out.batchedRequests = batchedRequests_.load(std::memory_order_relaxed);
-    out.maxBatchObserved =
-        maxBatchObserved_.load(std::memory_order_relaxed);
-    return out;
-}
-
 std::string
 Server::statsText() const
 {
-    const ServerStats s = stats();
-    const PlannerGateStats g = gate_.stats();
+    const obs::Registry &gate = gate_.registry();
+    const plan::PlanCacheStats cache = gate_.cache().stats();
     const obs::HistogramSnapshot lat = latencySeconds_.snapshot();
     const obs::HistogramSnapshot slices = batchSlices_.snapshot();
     std::ostringstream out;
     out << "server: chimera-serve\n"
         << "stats-version: 2\n"
-        << "connections: " << s.connections << "\n"
-        << "requests: " << s.requests << "\n"
-        << "responses: " << s.responses << "\n"
-        << "protocol-errors: " << s.protocolErrors << "\n"
-        << "batches: " << s.batches << "\n"
-        << "batched-requests: " << s.batchedRequests << "\n"
-        << "max-batch-observed: " << s.maxBatchObserved << "\n"
-        << "plans-led: " << g.flightsLed << "\n"
-        << "plans-joined: " << g.flightsJoined << "\n"
-        << "derived-plans: " << g.derivedPlans << "\n"
-        << "certified-plans: " << g.certifiedPlans << "\n"
-        << "recertified-plans: " << g.recertifiedPlans << "\n"
-        << "plan-cache-memory-hits: " << g.cache.memoryHits << "\n"
-        << "plan-cache-disk-hits: " << g.cache.diskHits << "\n"
-        << "plan-cache-misses: " << g.cache.misses << "\n"
-        << "plan-cache-stores: " << g.cache.stores << "\n"
-        << "plan-cache-disk-disabled: " << (g.cache.diskDisabled ? 1 : 0)
+        << "connections: " << connectionsAccepted_.value() << "\n"
+        << "requests: " << requestsAdmitted_.value() << "\n"
+        << "responses: " << responsesWritten_.value() << "\n"
+        << "protocol-errors: " << protocolErrors_.value() << "\n"
+        << "batches: " << slices.count() << "\n"
+        << "batched-requests: " << batchedRequests_.value() << "\n"
+        << "max-batch-observed: " << slices.max() << "\n"
+        << "plans-led: " << gate.counterValue("chimera.serve.plans_led")
+        << "\n"
+        << "plans-joined: "
+        << gate.counterValue("chimera.serve.plans_joined") << "\n"
+        << "derived-plans: "
+        << gate.counterValue("chimera.serve.derived_plans") << "\n"
+        << "certified-plans: "
+        << gate.counterValue("chimera.serve.certified_plans") << "\n"
+        << "recertified-plans: "
+        << gate.counterValue("chimera.serve.recertified_plans") << "\n"
+        << "plan-cache-memory-hits: " << cache.memoryHits << "\n"
+        << "plan-cache-disk-hits: " << cache.diskHits << "\n"
+        << "plan-cache-misses: " << cache.misses << "\n"
+        << "plan-cache-stores: " << cache.stores << "\n"
+        << "plan-cache-disk-disabled: " << (cache.diskDisabled ? 1 : 0)
         << "\n";
     // stats-version 2: server-side latency percentiles (HDR histogram,
     // seconds) and batch-size distribution (raw slices). Clients parse
@@ -678,29 +658,9 @@ Server::statsText() const
 std::string
 Server::metricsJson() const
 {
-    // Mirror the plain-counter snapshots into gauges so the JSON dump
-    // is self-contained: one document carries the histograms, the
-    // daemon counters, and the process-global planner metrics.
-    const ServerStats s = stats();
-    const PlannerGateStats g = gate_.stats();
-    registry_.gauge("chimera.serve.connections").set(s.connections);
-    registry_.gauge("chimera.serve.requests").set(s.requests);
-    registry_.gauge("chimera.serve.responses").set(s.responses);
-    registry_.gauge("chimera.serve.protocol_errors")
-        .set(s.protocolErrors);
-    registry_.gauge("chimera.serve.batches").set(s.batches);
-    registry_.gauge("chimera.serve.batched_requests")
-        .set(s.batchedRequests);
-    registry_.gauge("chimera.serve.max_batch_observed")
-        .set(s.maxBatchObserved);
-    registry_.gauge("chimera.serve.plans_led").set(g.flightsLed);
-    registry_.gauge("chimera.serve.plans_joined").set(g.flightsJoined);
-    registry_.gauge("chimera.serve.derived_plans").set(g.derivedPlans);
-    registry_.gauge("chimera.serve.certified_plans")
-        .set(g.certifiedPlans);
-    registry_.gauge("chimera.serve.recertified_plans")
-        .set(g.recertifiedPlans);
-    return obs::renderJson({&registry_, &obs::Registry::global()});
+    return obs::renderJson({&registry_, &gate_.registry(),
+                            &gate_.cache().registry(),
+                            &obs::Registry::global()});
 }
 
 CheckResult

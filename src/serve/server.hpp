@@ -92,18 +92,6 @@ struct ServerOptions
     bool verifyPlans = false;
 };
 
-/** Monotonic daemon counters (snapshot; see also PlannerGateStats). */
-struct ServerStats
-{
-    std::int64_t connections = 0; ///< accepted over the lifetime
-    std::int64_t requests = 0; ///< well-formed Execute requests admitted
-    std::int64_t responses = 0; ///< responses written (incl. errors)
-    std::int64_t protocolErrors = 0; ///< malformed frames/payloads
-    std::int64_t batches = 0; ///< executed groups
-    std::int64_t batchedRequests = 0; ///< requests that shared a group
-    std::int64_t maxBatchObserved = 0; ///< largest group, in slices
-};
-
 /** The daemon. start() spawns the thread set; stop() drains it. */
 class Server
 {
@@ -131,22 +119,22 @@ class Server
     /** True once a client has asked the daemon to shut down. */
     bool shutdownRequested() const { return shutdownRequested_.load(); }
 
-    ServerStats stats() const;
-
     /**
      * The stats document served for MessageType::Stats: "key: value"
-     * lines covering ServerStats, PlannerGateStats and the plan cache.
-     * Keys are stable (tests and the loadgen parse them); additions are
+     * lines read from the server's, the gate's and the plan cache's
+     * registries. `batches` and `max-batch-observed` are the count and
+     * max of the `chimera.serve.batch_slices` histogram. Keys are
+     * stable (tests and the loadgen parse them); additions are
      * versioned by the `stats-version` line (currently 2, which added
      * the `latency-*` / `batch-slices-*` histogram exposition).
      */
     std::string statsText() const;
 
     /**
-     * JSON object over this server's metric registry (request-latency
-     * and batch-size histograms, mirrored counters) merged with the
-     * process-global registry (planner + plan-cache metrics). Written
-     * by `chimera-serve --metrics-dump`.
+     * JSON object over this server's registry (daemon counters,
+     * request-latency and batch-size histograms), the gate's and the
+     * plan cache's registries, and the process-global registry
+     * (planner metrics). Written by `chimera-serve --metrics-dump`.
      */
     std::string metricsJson() const;
 
@@ -206,12 +194,16 @@ class Server
     exec::ComputeEngine engine_;
 
     /// Per-instance registry (several servers can coexist in one test
-    /// process without polluting each other's histograms); merged with
-    /// the global registry by metricsJson(). Mutable because the const
-    /// metricsJson() mirrors the plain-counter snapshots into gauges.
-    mutable obs::Registry registry_;
+    /// process without polluting each other's counts): the only store
+    /// of the daemon's counters and histograms.
+    obs::Registry registry_;
+    obs::Counter &connectionsAccepted_;
+    obs::Counter &requestsAdmitted_; ///< well-formed Execute requests
+    obs::Counter &responsesWritten_; ///< incl. error responses
+    obs::Counter &protocolErrors_; ///< malformed frames/payloads
+    obs::Counter &batchedRequests_; ///< requests that shared a group
     obs::Histogram &latencySeconds_;
-    obs::Histogram &batchSlices_;
+    obs::Histogram &batchSlices_; ///< one record per executed group
 
     int listenFd_ = -1;
     std::thread acceptThread_;
@@ -242,14 +234,6 @@ class Server
     std::condition_variable outgoingCv_;
     std::deque<Outgoing> outgoingQueue_;
     bool outgoingStop_ = false;
-
-    std::atomic<std::int64_t> connectionsAccepted_{0};
-    std::atomic<std::int64_t> requestsAdmitted_{0};
-    std::atomic<std::int64_t> responsesWritten_{0};
-    std::atomic<std::int64_t> protocolErrors_{0};
-    std::atomic<std::int64_t> batchesExecuted_{0};
-    std::atomic<std::int64_t> batchedRequests_{0};
-    std::atomic<std::int64_t> maxBatchObserved_{0};
 };
 
 /** Outcome of the --check replay (see runCheckReplay). */

@@ -12,63 +12,12 @@
 
 #include "support/logging.hpp"
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace chimera {
 
 namespace {
 
 /** Backstop against absurd CHIMERA_THREADS values / requests. */
 constexpr int kMaxThreads = 256;
-
-#ifdef __linux__
-/**
- * Whether CHIMERA_AFFINITY requests pinning. Read exactly once, under
- * the magic-static lock of the first caller: getenv is not safe against
- * concurrent setenv (clang-tidy concurrency-mt-unsafe), and every pool
- * worker consults this on startup — a per-worker getenv would race with
- * any test that mutates the environment while a pool spins up.
- */
-bool
-affinityRequested()
-{
-    static const bool requested = [] {
-        // NOLINTNEXTLINE(concurrency-mt-unsafe): single read at first
-        // use; the process does not setenv concurrently with pool start.
-        const char *env = std::getenv("CHIMERA_AFFINITY");
-        return env != nullptr && *env != '\0' &&
-               !(env[0] == '0' && env[1] == '\0');
-    }();
-    return requested;
-}
-#endif
-
-/** CHIMERA_AFFINITY=1: pin pool worker @p worker compactly (Linux). */
-void
-maybePinWorker(int worker)
-{
-#ifdef __linux__
-    if (!affinityRequested()) {
-        return;
-    }
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<unsigned>(worker % hardwareThreadCount()), &set);
-    if (pthread_setaffinity_np(pthread_self(), sizeof set, &set) != 0) {
-        static std::once_flag warned;
-        std::call_once(warned, [] {
-            CHIMERA_WARN(
-                "CHIMERA_AFFINITY is set but pinning failed; workers"
-                " run unpinned");
-        });
-    }
-#else
-    (void)worker;
-#endif
-}
 
 /**
  * Set while this thread is executing a parallelFor chunk; nested
@@ -174,7 +123,6 @@ struct ThreadPool::Impl
     void
     workerLoop(int worker)
     {
-        maybePinWorker(worker);
         std::uint64_t seen = 0;
         for (;;) {
             {

@@ -19,11 +19,6 @@
  * A resolved count of 1 degenerates to plain serial execution on the
  * calling thread (no worker threads are spawned, exceptions propagate
  * directly).
- *
- * Setting CHIMERA_AFFINITY=1 (Linux only) pins each spawned worker
- * thread w to hardware thread w % hardware_concurrency at startup —
- * compact placement so a worker's private L1/L2 working set is not
- * migrated mid-chain. The calling thread (worker 0) is never pinned.
  */
 
 #include <cstdint>

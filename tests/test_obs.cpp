@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -277,23 +278,6 @@ TEST(ObsRegistry, ReturnsStableReferences)
     EXPECT_EQ(g.value(), 5);
 }
 
-TEST(ObsRegistry, RenderTextSecondsVsRawHistograms)
-{
-    Registry registry;
-    registry.counter("chimera.test.hits").add(2);
-    registry.histogram("chimera.test.lat_seconds").recordSeconds(0.5);
-    registry.histogram("chimera.test.sizes").record(4);
-    const std::string text = registry.renderText();
-    EXPECT_NE(text.find("chimera.test.hits: 2"), std::string::npos);
-    // *_seconds histograms render in the seconds domain...
-    EXPECT_NE(text.find("chimera.test.lat_seconds-p99-seconds: "),
-              std::string::npos);
-    // ...anything else renders raw integer percentiles.
-    EXPECT_NE(text.find("chimera.test.sizes-p99: 4"), std::string::npos);
-    EXPECT_EQ(text.find("chimera.test.sizes-p99-seconds"),
-              std::string::npos);
-}
-
 TEST(ObsRegistry, RenderJsonMergesRegistries)
 {
     Registry a;
@@ -301,11 +285,28 @@ TEST(ObsRegistry, RenderJsonMergesRegistries)
     a.counter("chimera.test.only_a").add(1);
     b.counter("chimera.test.only_b").add(2);
     b.histogram("chimera.test.lat_seconds").recordSeconds(0.125);
+    b.histogram("chimera.test.sizes").record(4);
     const std::string json = renderJson({&a, &b, nullptr});
     EXPECT_NE(json.find("\"chimera.test.only_a\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"chimera.test.only_b\": 2"), std::string::npos);
-    EXPECT_NE(json.find("\"chimera.test.lat_seconds\": {\"count\": 1"),
+    // *_seconds histograms render in the seconds domain...
+    EXPECT_NE(json.find("\"chimera.test.lat_seconds\": {\"count\": 1, "
+                        "\"p50_seconds\": "),
               std::string::npos);
+    // ...anything else renders raw integer percentiles.
+    EXPECT_NE(json.find("\"chimera.test.sizes\": {\"count\": 1, "
+                        "\"p50\": 4"),
+              std::string::npos);
+}
+
+TEST(ObsRegistry, CounterValueReadsOnlyExistingCounters)
+{
+    Registry registry;
+    registry.counter("chimera.test.hits").add(2);
+    EXPECT_EQ(registry.counterValue("chimera.test.hits"), 2);
+    // A misspelt name throws instead of reading as 0.
+    EXPECT_THROW((void)registry.counterValue("chimera.test.hit"),
+                 std::out_of_range);
 }
 
 TEST(ObsRegistry, GlobalIsSingleton)

@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #ifdef __unix__
@@ -438,9 +439,9 @@ TEST(ServeGate, ColdStampedePlansOnce)
         t.join();
     }
 
-    const PlannerGateStats stats = gate.stats();
-    EXPECT_EQ(stats.flightsLed, 1) << "the planner must run exactly once";
-    EXPECT_EQ(stats.cache.stores, 1);
+    EXPECT_EQ(gate.registry().counterValue("chimera.serve.plans_led"), 1)
+        << "the planner must run exactly once";
+    EXPECT_EQ(gate.cache().stats().stores, 1);
     for (int t = 1; t < kThreads; ++t) {
         EXPECT_EQ(plans[static_cast<std::size_t>(t)].perm, plans[0].perm);
         EXPECT_EQ(plans[static_cast<std::size_t>(t)].tiles,
@@ -490,7 +491,8 @@ TEST(ServeGate, BatchedPlanPinsCanonicalSchedule)
                   ir::axisIdByName(batchedChain, name))
             << "order position " << i;
     }
-    EXPECT_EQ(gate.stats().derivedPlans, 1);
+    EXPECT_EQ(gate.registry().counterValue("chimera.serve.derived_plans"),
+              1);
 }
 
 TEST(ServeGate, InfeasibleCapacityThrows)
@@ -745,12 +747,12 @@ TEST(ServeDaemon, ColdStampedePlansOnceAcrossConnections)
 
 TEST(ServeDaemon, StatsTextHammeredUnderTraffic)
 {
-    // The stats path (statsText/stats/metricsJson) runs concurrently
-    // with readers, executors, and planning flights. Every counter it
-    // reads — including the gate's flightsLed/flightsJoined, which
-    // used to be plain ints — must be an atomic, or TSan flags this
-    // test. Hammer the snapshots from several threads while clients
-    // drive real traffic.
+    // The stats path (statsText/metricsJson/the cache's stats()) runs
+    // concurrently with readers, executors, and planning flights. Every
+    // counter it reads — including the gate's plans_led/plans_joined,
+    // which used to be plain ints — must be a registry counter, or
+    // TSan flags this test. Hammer the snapshots from several threads
+    // while clients drive real traffic.
     ServerOptions options;
     options.socketPath = socketPathFor("statshammer");
     options.cacheDir = "-";
@@ -767,7 +769,7 @@ TEST(ServeDaemon, StatsTextHammeredUnderTraffic)
             while (!stop.load()) {
                 const std::string text = server.statsText();
                 EXPECT_FALSE(statsValue(text, "stats-version").empty());
-                (void)server.stats();
+                (void)server.gate().cache().stats();
                 (void)server.metricsJson();
                 snapshots.fetch_add(1);
             }
@@ -874,6 +876,166 @@ TEST(ServeDaemon, StatsVersionTwoExposesLatencyHistogram)
     EXPECT_NE(json.find("\"chimera.serve.requests\": 5"),
               std::string::npos);
     EXPECT_NE(json.find("\"chimera.plan.planned\""), std::string::npos);
+}
+
+/**
+ * The integer @p name renders to in a metricsJson() document, or its
+ * @p field when the metric is a histogram object ("" when absent).
+ */
+std::string
+jsonValue(const std::string &json, const std::string &name,
+          const std::string &field = "")
+{
+    std::size_t at = json.find("\"" + name + "\": ");
+    if (at == std::string::npos) {
+        return "";
+    }
+    at += name.size() + 4;
+    if (!field.empty()) {
+        at = json.find("\"" + field + "\": ", at);
+        if (at == std::string::npos) {
+            return "";
+        }
+        at += field.size() + 4;
+    }
+    return json.substr(at, json.find_first_of(",}\n", at) - at);
+}
+
+TEST(ServeDaemon, StatsTextAndMetricsJsonReadOneStore)
+{
+    ServerOptions options;
+    options.socketPath = socketPathFor("onestore");
+    options.cacheDir = "-";
+    options.executors = 2;
+    options.maxBatch = 4;
+    // Long enough that a back-to-back burst always lands in one window.
+    options.batchWindowMicros = 50000;
+    Server server(options);
+    server.start();
+
+    const int fd = connectTo(options.socketPath);
+    const auto awaitOk = [fd] {
+        std::optional<std::string> payload = readFrame(fd);
+        ASSERT_TRUE(payload.has_value());
+        EXPECT_EQ(decodeResponse(*payload).status, Status::Ok);
+    };
+    // Single requests, one at a time...
+    constexpr std::uint64_t kSingles = 3;
+    for (std::uint64_t id = 1; id <= kSingles; ++id) {
+        writeFrame(fd, encodeExecuteRequest(makeRequest(id, smallConfig())));
+        awaitOk();
+    }
+    // ...a malformed payload...
+    std::string bad =
+        encodeExecuteRequest(makeRequest(kSingles + 1, smallConfig()));
+    bad[56] = 9; // unknown epilogue code
+    writeFrame(fd, bad);
+    ASSERT_TRUE(readFrame(fd).has_value());
+    // ...and a burst the admission window coalesces.
+    constexpr std::uint64_t kBurst = 4;
+    for (std::uint64_t i = 0; i < kBurst; ++i) {
+        writeFrame(fd, encodeExecuteRequest(makeRequest(
+                           kSingles + 2 + i, smallConfig())));
+    }
+    for (std::uint64_t i = 0; i < kBurst; ++i) {
+        awaitOk();
+    }
+    ::close(fd);
+    // Drained: every counter has settled, so both renderings are taken
+    // of the same state.
+    server.stop();
+
+    const std::string text = server.statsText();
+    const std::string json = server.metricsJson();
+
+    // The stats-version 2 document, key for key and in order.
+    const std::vector<std::string> golden = {
+        "server", "stats-version", "connections", "requests", "responses",
+        "protocol-errors", "batches", "batched-requests",
+        "max-batch-observed", "plans-led", "plans-joined", "derived-plans",
+        "certified-plans", "recertified-plans", "plan-cache-memory-hits",
+        "plan-cache-disk-hits", "plan-cache-misses", "plan-cache-stores",
+        "plan-cache-disk-disabled", "latency-count", "latency-p50-seconds",
+        "latency-p90-seconds", "latency-p99-seconds",
+        "latency-p999-seconds", "latency-mean-seconds",
+        "latency-max-seconds", "batch-slices-count", "batch-slices-p50",
+        "batch-slices-p99", "batch-slices-max"};
+    std::vector<std::string> keys;
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+        keys.push_back(line.substr(0, line.find(": ")));
+    }
+    EXPECT_EQ(keys, golden) << text;
+    EXPECT_EQ(statsValue(text, "stats-version"), "2");
+
+    // Every counter line is the registry counter metricsJson prints,
+    // and each of those names is printed exactly once.
+    const std::vector<std::pair<std::string, std::string>> counters = {
+        {"connections", "chimera.serve.connections"},
+        {"requests", "chimera.serve.requests"},
+        {"responses", "chimera.serve.responses"},
+        {"protocol-errors", "chimera.serve.protocol_errors"},
+        {"batched-requests", "chimera.serve.batched_requests"},
+        {"plans-led", "chimera.serve.plans_led"},
+        {"plans-joined", "chimera.serve.plans_joined"},
+        {"derived-plans", "chimera.serve.derived_plans"},
+        {"certified-plans", "chimera.serve.certified_plans"},
+        {"recertified-plans", "chimera.serve.recertified_plans"},
+        {"plan-cache-memory-hits", "chimera.plan.cache.memory_hits"},
+        {"plan-cache-disk-hits", "chimera.plan.cache.disk_hits"},
+        {"plan-cache-misses", "chimera.plan.cache.misses"},
+        {"plan-cache-stores", "chimera.plan.cache.stores"}};
+    for (const auto &[key, metric] : counters) {
+        EXPECT_FALSE(statsValue(text, key).empty()) << key;
+        EXPECT_EQ(statsValue(text, key), jsonValue(json, metric))
+            << key << " vs " << metric;
+        const std::string quoted = "\"" + metric + "\"";
+        EXPECT_EQ(json.find(quoted), json.rfind(quoted))
+            << metric << " is kept twice";
+    }
+    EXPECT_EQ(statsValue(text, "requests"),
+              std::to_string(kSingles + kBurst));
+    EXPECT_EQ(statsValue(text, "protocol-errors"), "1");
+    EXPECT_EQ(statsValue(text, "latency-count"),
+              jsonValue(json, "chimera.serve.latency_seconds", "count"));
+
+    // batches / max-batch-observed are the batch-size histogram's count
+    // and max, in both renderings.
+    EXPECT_EQ(statsValue(text, "batches"),
+              statsValue(text, "batch-slices-count"));
+    EXPECT_EQ(statsValue(text, "max-batch-observed"),
+              statsValue(text, "batch-slices-max"));
+    EXPECT_EQ(statsValue(text, "batches"),
+              jsonValue(json, "chimera.serve.batch_slices", "count"));
+    EXPECT_EQ(statsValue(text, "max-batch-observed"),
+              jsonValue(json, "chimera.serve.batch_slices", "max"));
+    EXPECT_GT(std::stoll(statsValue(text, "max-batch-observed")), 1)
+        << "the burst must coalesce:\n"
+        << text;
+    EXPECT_GT(std::stoll(statsValue(text, "batched-requests")), 1);
+
+    // The plan-cache lines are the gate's cache.
+    const plan::PlanCacheStats cache = server.gate().cache().stats();
+    EXPECT_EQ(statsValue(text, "plan-cache-memory-hits"),
+              std::to_string(cache.memoryHits));
+    EXPECT_EQ(statsValue(text, "plan-cache-disk-hits"),
+              std::to_string(cache.diskHits));
+    EXPECT_EQ(statsValue(text, "plan-cache-misses"),
+              std::to_string(cache.misses));
+    EXPECT_EQ(statsValue(text, "plan-cache-stores"),
+              std::to_string(cache.stores));
+    EXPECT_EQ(statsValue(text, "plan-cache-disk-disabled"),
+              cache.diskDisabled ? "1" : "0");
+    EXPECT_GT(cache.memoryHits, 0);
+
+    // The gauge duplicates are gone: their numbers are the histogram's.
+    for (const char *gone :
+         {"chimera.serve.batches", "chimera.serve.max_batch_observed"}) {
+        EXPECT_EQ(json.find(std::string("\"") + gone + "\""),
+                  std::string::npos)
+            << gone;
+    }
 }
 
 #endif // __unix__

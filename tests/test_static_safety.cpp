@@ -391,11 +391,13 @@ TEST(StaticSafety, PlannerGateServesOnlyCertifiedPlans)
     cfg.l = 64;
     const plan::ExecutionPlan plan = gate.canonicalPlan(cfg);
     EXPECT_TRUE(plan.safety.certified);
-    EXPECT_GE(gate.stats().certifiedPlans, 1);
+    EXPECT_GE(
+        gate.registry().counterValue("chimera.serve.certified_plans"), 1);
 
     const plan::ExecutionPlan batched = gate.batchedPlan(cfg, 8);
     EXPECT_TRUE(batched.safety.certified);
-    EXPECT_GE(gate.stats().certifiedPlans, 2);
+    EXPECT_GE(
+        gate.registry().counterValue("chimera.serve.certified_plans"), 2);
 }
 
 TEST(StaticSafety, VerifierChecksRequestedDomainOnUncertifiedPlan)
